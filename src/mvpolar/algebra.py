@@ -269,15 +269,7 @@ def validate_algebra(algebra: TruthAlgebra) -> ValidationReport:
 
 def aggregate(algebra: TruthAlgebra, kind: str, values: Iterable[int]) -> int:
     """Fold a finite multiset of values; empty join is 0, empty meet is 1."""
-    if kind == "join":
-        out = algebra.bottom
-        table = algebra.join_table
-    elif kind == "meet":
-        out = algebra.top
-        table = algebra.meet_table
-    else:
+    folds = {"join": algebra.join_all, "meet": algebra.meet_all}
+    if kind not in folds:
         raise UsageError(f"aggregate kind must be 'join' or 'meet', got {kind!r}")
-    for v in values:
-        algebra.check_value(v)
-        out = table[out][v]
-    return out
+    return folds[kind](algebra.check_value(v) for v in values)

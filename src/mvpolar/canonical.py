@@ -2,12 +2,17 @@
 
 A ModalLattice stands in for the algebra of formulas: a finite bounded
 lattice with a meet-and-top preserving box map and a join-and-bottom
-preserving diamond map.  Filters and ideals valued in a truth algebra
-are enumerated exhaustively, the inverse modal transforms are computed
-by their defining joins, and the canonical frame over the proper
+preserving diamond map.  Filters valued in a truth algebra are
+enumerated exhaustively, the inverse diamond transform is computed by
+its defining join, and the canonical frame over the proper
 filter/ideal pairs is built from the displayed sum formulas.  Both
 displayed forms of each canonical relation are computed independently
 and compared.
+
+Every ideal-side construction is the filter-side one run on the order
+dual, ModalLattice.dual(): an ideal is a filter of the dual, the box
+transform is the dual's diamond transform, and the box relation of the
+canonical frame is the dual's diamond relation.
 """
 
 from __future__ import annotations
@@ -30,7 +35,10 @@ DEFAULT_ENUMERATION_BUDGET = 1_000_000
 class ModalLattice:
     """Finite bounded lattice with normal box and diamond maps."""
 
-    __slots__ = ("elements", "leq", "join_table", "meet_table", "box_map", "dia_map", "atoms", "_index")
+    __slots__ = (
+        "elements", "leq", "join_table", "meet_table", "box_map", "dia_map", "atoms",
+        "top_index", "bottom_index", "_index", "_dual",
+    )
 
     def __init__(
         self,
@@ -53,6 +61,9 @@ class ModalLattice:
         self._validate_poset()
         self.join_table = self._bounds_table(upper=True)
         self.meet_table = self._bounds_table(upper=False)
+        self.top_index = next(i for i in range(n) if all(row[i] for row in rows))
+        self.bottom_index = next(i for i in range(n) if all(rows[i]))
+        self._dual = None
         self.box_map = self._normalize_map("box", box)
         self.dia_map = self._normalize_map("dia", dia)
         self.atoms = tuple(atoms)
@@ -132,13 +143,18 @@ class ModalLattice:
                         f"dia does not preserve the join of {self.elements[i]!r} and {self.elements[j]!r}"
                     )
 
-    @property
-    def bottom_index(self) -> int:
-        return next(i for i in range(len(self.elements)) if all(self.leq[i]))
-
-    @property
-    def top_index(self) -> int:
-        return next(i for i in range(len(self.elements)) if all(row[i] for row in self.leq))
+    def dual(self) -> "ModalLattice":
+        """The order dual: leq transposed, box and dia swapped (built once)."""
+        if self._dual is None:
+            names = self.elements
+            self._dual = ModalLattice(
+                names,
+                tuple(zip(*self.leq)),
+                {e: names[k] for e, k in zip(names, self.dia_map)},
+                {e: names[k] for e, k in zip(names, self.box_map)},
+                self.atoms,
+            )
+        return self._dual
 
     def __len__(self):
         return len(self.elements)
@@ -188,62 +204,49 @@ def _is_filter(lattice: ModalLattice, algebra: TruthAlgebra, degrees) -> bool:
     return True
 
 
-def _is_ideal(lattice: ModalLattice, algebra: TruthAlgebra, degrees) -> bool:
-    if degrees[lattice.bottom_index] != algebra.top:
-        return False
-    join = lattice.join_table
-    n = len(lattice)
-    for i in range(n):
-        for j in range(i, n):
-            if degrees[join[i][j]] != algebra.meet(degrees[i], degrees[j]):
-                return False
-    return True
-
-
 @dataclass(frozen=True)
-class MvFilter:
+class _MeetPreservingMap:
+    """Meet-and-top preserving map from _order (the lattice or its dual) into the algebra."""
+
+    lattice: ModalLattice
+    algebra: TruthAlgebra
+    degrees: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "degrees", tuple(self.algebra.check_value(v) for v in self.degrees))
+        if len(self.degrees) != len(self.lattice):
+            raise InputError(f"{self._kind} degrees must cover every lattice element")
+        if not _is_filter(self._order, self.algebra, self.degrees):
+            raise InputError(self._invalid)
+
+    @property
+    def proper(self) -> bool:
+        return self.degrees[self._order.bottom_index] == self.algebra.bottom
+
+    def value(self, element: str) -> int:
+        return self.degrees[self.lattice.index(element)]
+
+
+class MvFilter(_MeetPreservingMap):
     """Meet-and-top preserving map from the lattice into the algebra."""
 
-    lattice: ModalLattice
-    algebra: TruthAlgebra
-    degrees: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "degrees", tuple(self.algebra.check_value(v) for v in self.degrees))
-        if len(self.degrees) != len(self.lattice):
-            raise InputError("filter degrees must cover every lattice element")
-        if not _is_filter(self.lattice, self.algebra, self.degrees):
-            raise InputError("the map is not a filter: it must preserve meets and top")
+    _kind = "filter"
+    _invalid = "the map is not a filter: it must preserve meets and top"
 
     @property
-    def proper(self) -> bool:
-        return self.degrees[self.lattice.bottom_index] == self.algebra.bottom
-
-    def value(self, element: str) -> int:
-        return self.degrees[self.lattice.index(element)]
+    def _order(self) -> ModalLattice:
+        return self.lattice
 
 
-@dataclass(frozen=True)
-class MvIdeal:
-    """Map sending joins to meets with value 1 on bottom."""
+class MvIdeal(_MeetPreservingMap):
+    """Map sending joins to meets with value 1 on bottom: a filter of lattice.dual()."""
 
-    lattice: ModalLattice
-    algebra: TruthAlgebra
-    degrees: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "degrees", tuple(self.algebra.check_value(v) for v in self.degrees))
-        if len(self.degrees) != len(self.lattice):
-            raise InputError("ideal degrees must cover every lattice element")
-        if not _is_ideal(self.lattice, self.algebra, self.degrees):
-            raise InputError("the map is not an ideal: it must send joins to meets and bottom to 1")
+    _kind = "ideal"
+    _invalid = "the map is not an ideal: it must send joins to meets and bottom to 1"
 
     @property
-    def proper(self) -> bool:
-        return self.degrees[self.lattice.top_index] == self.algebra.bottom
-
-    def value(self, element: str) -> int:
-        return self.degrees[self.lattice.index(element)]
+    def _order(self) -> ModalLattice:
+        return self.lattice.dual()
 
 
 def _candidate_maps(lattice: ModalLattice, algebra: TruthAlgebra, budget: int):
@@ -255,54 +258,62 @@ def _candidate_maps(lattice: ModalLattice, algebra: TruthAlgebra, budget: int):
     return itertools.product(range(algebra.size), repeat=len(lattice))
 
 
+def _filter_degrees(order: ModalLattice, algebra: TruthAlgebra, budget: int):
+    return [d for d in _candidate_maps(order, algebra, budget) if _is_filter(order, algebra, d)]
+
+
 def enumerate_filters(
     lattice: ModalLattice, algebra: TruthAlgebra, budget: int = DEFAULT_ENUMERATION_BUDGET
 ):
     """All filters, in lexicographic order of their degree tuples."""
-    return tuple(
-        MvFilter(lattice, algebra, degrees)
-        for degrees in _candidate_maps(lattice, algebra, budget)
-        if _is_filter(lattice, algebra, degrees)
-    )
+    return tuple(MvFilter(lattice, algebra, d) for d in _filter_degrees(lattice, algebra, budget))
 
 
 def enumerate_ideals(
     lattice: ModalLattice, algebra: TruthAlgebra, budget: int = DEFAULT_ENUMERATION_BUDGET
 ):
-    """All ideals, in lexicographic order of their degree tuples."""
-    return tuple(
-        MvIdeal(lattice, algebra, degrees)
-        for degrees in _candidate_maps(lattice, algebra, budget)
-        if _is_ideal(lattice, algebra, degrees)
-    )
+    """All ideals (the filters of the dual), in lexicographic order of their degree tuples."""
+    return tuple(MvIdeal(lattice, algebra, d) for d in _filter_degrees(lattice.dual(), algebra, budget))
 
 
-def _diamond_inverse_degrees(f: MvFilter) -> tuple:
-    lattice, algebra = f.lattice, f.algebra
-    dia, leq = lattice.dia_map, lattice.leq
-    return tuple(
-        algebra.join_all(f.degrees[b] for b in range(len(lattice)) if leq[dia[b]][a])
-        for a in range(len(lattice))
-    )
-
-
-def _box_inverse_degrees(i: MvIdeal) -> tuple:
-    lattice, algebra = i.lattice, i.algebra
-    box, leq = lattice.box_map, lattice.leq
-    return tuple(
-        algebra.join_all(i.degrees[b] for b in range(len(lattice)) if leq[a][box[b]])
-        for a in range(len(lattice))
-    )
+def _diamond_inverse_degrees(order: ModalLattice, algebra: TruthAlgebra, degrees) -> tuple:
+    n = len(order)
+    dia, leq = order.dia_map, order.leq
+    return tuple(algebra.join_all(degrees[b] for b in range(n) if leq[dia[b]][a]) for a in range(n))
 
 
 def diamond_inverse(f: MvFilter) -> MvFilter:
     """Maps a to the join of f(b) over all b with dia(b) below a."""
-    return MvFilter(f.lattice, f.algebra, _diamond_inverse_degrees(f))
+    return MvFilter(f.lattice, f.algebra, _diamond_inverse_degrees(f.lattice, f.algebra, f.degrees))
 
 
 def box_inverse(i: MvIdeal) -> MvIdeal:
-    """Maps a to the join of i(b) over all b with a below box(b)."""
-    return MvIdeal(i.lattice, i.algebra, _box_inverse_degrees(i))
+    """Maps a to the join of i(b) over all b with a below box(b): the diamond-inverse on the dual."""
+    return MvIdeal(i.lattice, i.algebra, _diamond_inverse_degrees(i.lattice.dual(), i.algebra, i.degrees))
+
+
+def _sum(algebra: TruthAlgebra, x, y) -> int:
+    return algebra.join_all(map(algebra.otimes, x, y))
+
+
+def _displayed_forms(order: ModalLattice, algebra: TruthAlgebra, maps, co_maps):
+    """The diamond relation of order's canonical frame in both displayed forms.
+
+    maps are the degree tuples of filters of order and co_maps those of
+    filters of its dual.  Returns the diamond-inverse of each map and the
+    rows (one per co-map c, one entry per map m) of the direct form, the
+    join over a of m(a) (x) c(dia a), and of the routed form, the join
+    over a of dia-inverse(m)(a) (x) c(a).  Run on the dual with the roles
+    of maps and co-maps swapped, it gives the box relation.
+    """
+    dia = order.dia_map
+    inverses = [_diamond_inverse_degrees(order, algebra, m) for m in maps]
+    direct, routed = [], []
+    for c in co_maps:
+        c_dia = tuple(c[k] for k in dia)
+        direct.append([_sum(algebra, m, c_dia) for m in maps])
+        routed.append([_sum(algebra, g, c) for g in inverses])
+    return inverses, direct, routed
 
 
 @dataclass(frozen=True)
@@ -348,29 +359,11 @@ def build_surrogate(
     ideals = [i for i in enumerate_ideals(lattice, algebra, budget) if i.proper]
     if not filters or not ideals:
         raise InputError("the lattice has no proper filters or no proper ideals")
-    otimes = algebra.otimes
-    join_all = algebra.join_all
-    n = len(lattice)
-    box, dia = lattice.box_map, lattice.dia_map
-
-    def sum_over(fd, gd):
-        return join_all(otimes(fd[a], gd[a]) for a in range(n))
-
-    incidence_rows = [[sum_over(f.degrees, i.degrees) for i in ideals] for f in filters]
-    box_rows = [
-        [sum_over(tuple(f.degrees[box[a]] for a in range(n)), i.degrees) for i in ideals]
-        for f in filters
-    ]
-    box_alt = [
-        [sum_over(f.degrees, _box_inverse_degrees(i)) for i in ideals] for f in filters
-    ]
-    dia_rows = [
-        [sum_over(f.degrees, tuple(i.degrees[dia[a]] for a in range(n))) for f in filters]
-        for i in ideals
-    ]
-    dia_alt = [
-        [sum_over(_diamond_inverse_degrees(f), i.degrees) for f in filters] for i in ideals
-    ]
+    fd = [f.degrees for f in filters]
+    idd = [i.degrees for i in ideals]
+    incidence_rows = [[_sum(algebra, f, i) for i in idd] for f in fd]
+    _, dia_rows, dia_alt = _displayed_forms(lattice, algebra, fd, idd)
+    _, box_rows, box_alt = _displayed_forms(lattice.dual(), algebra, idd, fd)
 
     f_names = [f"f{k}" for k in range(len(filters))]
     i_names = [f"i{k}" for k in range(len(ideals))]
@@ -481,6 +474,52 @@ class _Tally:
         return LemmaCheck(self.name, self.required, self.count == 0, self.count, tuple(self.witnesses))
 
 
+_FILTER_LEMMAS = (
+    "filters preserve order",
+    "filter closed under diamond-inverse",
+    "diamond-inverse preserves properness",
+    "pointwise diamond bound",
+    "diamond sum identity",
+)
+_IDEAL_LEMMAS = (
+    "ideals reverse order",
+    "ideal closed under box-inverse",
+    "box-inverse preserves properness",
+    "pointwise box bound",
+    "box sum identity",
+)
+
+
+def _lemma_half(order: ModalLattice, algebra: TruthAlgebra, maps, co_maps, names, label, co_label):
+    """Order, closure, properness, bound and sum checks of the diamond-inverse
+    on the filters (maps) of order; co_maps are the filters of its dual.
+    Run on the dual with the ideals as maps, it gives the box half."""
+    n = len(order)
+    leq, dia, elements = order.leq, order.dia_map, order.elements
+    monotone, closed, proper, bound, sums = (_Tally(name, k != 2) for k, name in enumerate(names))
+    maps = [m.degrees for m in maps]
+    co_maps = [c.degrees for c in co_maps]
+    inverses, direct, routed = _displayed_forms(order, algebra, maps, co_maps)
+    for d, g in zip(maps, inverses):
+        pairs = ((a, b) for a in range(n) for b in range(n) if leq[a][b] and not algebra.leq(d[a], d[b]))
+        below = next(pairs, None)
+        if below is not None:
+            monotone.hit({label: d, "below": elements[below[0]], "above": elements[below[1]]})
+        if not _is_filter(order, algebra, g):
+            closed.hit({label: d, "image": g})
+        elif d[order.bottom_index] == algebra.bottom and g[order.bottom_index] != algebra.bottom:
+            proper.hit({label: d, "image": g})
+        for a in range(n):
+            if not algebra.leq(d[a], g[dia[a]]):
+                bound.hit({label: d, "element": elements[a]})
+                break
+    for c, direct_row, routed_row in zip(co_maps, direct, routed):
+        for d, x, y in zip(maps, direct_row, routed_row):
+            if x != y:
+                sums.hit({label: d, co_label: c, "direct": x, "routed": y})
+    return monotone, closed, proper, bound, sums
+
+
 def lemma_suite(
     lattice: ModalLattice, algebra: TruthAlgebra, budget: int = DEFAULT_ENUMERATION_BUDGET
 ) -> LemmaReport:
@@ -492,73 +531,7 @@ def lemma_suite(
     """
     filters = enumerate_filters(lattice, algebra, budget)
     ideals = enumerate_ideals(lattice, algebra, budget)
-    n = len(lattice)
-    leq, box, dia = lattice.leq, lattice.box_map, lattice.dia_map
-    names = lattice.elements
-
-    order_f = _Tally("filters preserve order", True)
-    order_i = _Tally("ideals reverse order", True)
-    closed_f = _Tally("filter closed under diamond-inverse", True)
-    closed_i = _Tally("ideal closed under box-inverse", True)
-    proper_f = _Tally("diamond-inverse preserves properness", False)
-    proper_i = _Tally("box-inverse preserves properness", False)
-    bound_f = _Tally("pointwise diamond bound", True)
-    bound_i = _Tally("pointwise box bound", True)
-    sum_dia = _Tally("diamond sum identity", True)
-    sum_box = _Tally("box sum identity", True)
-
-    def check_order(degrees, reverse: bool, tally: _Tally, label: str):
-        for a in range(n):
-            for b in range(n):
-                if not leq[a][b]:
-                    continue
-                lo, hi = (degrees[b], degrees[a]) if reverse else (degrees[a], degrees[b])
-                if algebra.meet(lo, hi) != lo:
-                    tally.hit({label: degrees, "below": names[a], "above": names[b]})
-                    return
-
-    inv_f = {}
-    for f in filters:
-        check_order(f.degrees, False, order_f, "filter")
-        g = _diamond_inverse_degrees(f)
-        inv_f[f.degrees] = g
-        if not _is_filter(lattice, algebra, g):
-            closed_f.hit({"filter": f.degrees, "image": g})
-        elif f.proper and g[lattice.bottom_index] != algebra.bottom:
-            proper_f.hit({"filter": f.degrees, "image": g})
-        for a in range(n):
-            if not algebra.leq(f.degrees[a], g[dia[a]]):
-                bound_f.hit({"filter": f.degrees, "element": names[a]})
-                break
-
-    inv_i = {}
-    for i in ideals:
-        check_order(i.degrees, True, order_i, "ideal")
-        h = _box_inverse_degrees(i)
-        inv_i[i.degrees] = h
-        if not _is_ideal(lattice, algebra, h):
-            closed_i.hit({"ideal": i.degrees, "image": h})
-        elif i.proper and h[lattice.top_index] != algebra.bottom:
-            proper_i.hit({"ideal": i.degrees, "image": h})
-        for a in range(n):
-            if not algebra.leq(i.degrees[a], h[box[a]]):
-                bound_i.hit({"ideal": i.degrees, "element": names[a]})
-                break
-
-    otimes, join_all = algebra.otimes, algebra.join_all
-    for f in filters:
-        for i in ideals:
-            direct = join_all(otimes(f.degrees[a], i.degrees[dia[a]]) for a in range(n))
-            routed = join_all(otimes(inv_f[f.degrees][a], i.degrees[a]) for a in range(n))
-            if direct != routed:
-                sum_dia.hit({"filter": f.degrees, "ideal": i.degrees, "direct": direct, "routed": routed})
-            direct = join_all(otimes(f.degrees[box[a]], i.degrees[a]) for a in range(n))
-            routed = join_all(otimes(f.degrees[a], inv_i[i.degrees][a]) for a in range(n))
-            if direct != routed:
-                sum_box.hit({"filter": f.degrees, "ideal": i.degrees, "direct": direct, "routed": routed})
-
-    checks = tuple(
-        t.done()
-        for t in (order_f, order_i, closed_f, proper_f, closed_i, proper_i, bound_f, bound_i, sum_dia, sum_box)
-    )
-    return LemmaReport(lattice, algebra, checks)
+    f = _lemma_half(lattice, algebra, filters, ideals, _FILTER_LEMMAS, "filter", "ideal")
+    i = _lemma_half(lattice.dual(), algebra, ideals, filters, _IDEAL_LEMMAS, "ideal", "filter")
+    checks = (f[0], i[0], f[1], f[2], i[1], i[2], f[3], i[3], f[4], i[4])
+    return LemmaReport(lattice, algebra, tuple(t.done() for t in checks))

@@ -20,9 +20,9 @@ from .errors import InputError, MvpolarError, UsageError
 from .fileio import algebra_from_spec, load_context, load_frame, load_model, load_modal_lattice
 from .market import (
     AnalysisReport,
-    DegreeListing,
     basket_category,
     box_refinement_analysis,
+    concept_report,
     firm_category,
     load_arena,
     market_category,
@@ -213,23 +213,6 @@ def _report_out(report: AnalysisReport, out: str) -> int:
     return 0
 
 
-def _concept_report(arena, query: dict, concept, extent_side: tuple, intent_side: tuple) -> AnalysisReport:
-    alg = arena.algebra
-    entries_e = tuple(
-        (n, concept.extent.degrees[k], alg.format_value(concept.extent.degrees[k]))
-        for k, n in enumerate(arena.firms)
-    )
-    entries_i = tuple(
-        (n, concept.intent.degrees[k], alg.format_value(concept.intent.degrees[k]))
-        for k, n in enumerate(arena.markets)
-    )
-    listings = (
-        DegreeListing("extent over firms", extent_side[0], extent_side[1], entries_e),
-        DegreeListing("intent over markets", intent_side[0], intent_side[1], entries_i),
-    )
-    return AnalysisReport(query, listings, arena.notes())
-
-
 def _cmd_arena(args) -> int:
     arena = load_arena(args.arena)
     op = args.op
@@ -237,7 +220,7 @@ def _cmd_arena(args) -> int:
         if args.firm is None:
             raise UsageError("--op firm needs --firm")
         c = firm_category(arena, args.firm)
-        report = _concept_report(
+        report = concept_report(
             arena,
             {"operation": "firm_category", "firm": args.firm},
             c,
@@ -251,7 +234,7 @@ def _cmd_arena(args) -> int:
         if args.market is None:
             raise UsageError("--op market needs --market")
         c = market_category(arena, args.market)
-        report = _concept_report(
+        report = concept_report(
             arena,
             {"operation": "market_category", "market": args.market},
             c,
@@ -271,7 +254,7 @@ def _cmd_arena(args) -> int:
         if not isinstance(weights, dict):
             raise InputError("--weights must be a JSON object of market -> degree index")
         c = basket_category(arena, weights)
-        report = _concept_report(
+        report = concept_report(
             arena,
             {"operation": "basket_category", "weights": weights},
             c,

@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 from .algebra import TruthAlgebra
 from .errors import InputError, ResourceError, UsageError
-from .mvsets import MvRelation, MvSet, lift0, lift1, singleton
+from .mvsets import MvRelation, MvSet, lift0, lift1, residuated_meets, singleton
 
 DEFAULT_CONCEPT_BUDGET = 100_000
 
@@ -60,21 +60,10 @@ class Context:
     # Fast tuple-level closures shared by enumeration, compatibility checks
     # and relation repair.  Public callers use the MvSet interface below.
     def _up_degrees(self, ext: Sequence[int]) -> tuple:
-        alg = self.algebra
-        res = alg.residuum_table
-        rows = self.incidence.rows
-        return tuple(
-            alg.meet_all(res[ext[i]][rows[i][j]] for i in range(len(ext)))
-            for j in range(len(self.attributes))
-        )
+        return residuated_meets(self.algebra, ext, self.incidence.columns)
 
     def _down_degrees(self, intn: Sequence[int]) -> tuple:
-        alg = self.algebra
-        res = alg.residuum_table
-        return tuple(
-            alg.meet_all(res[intn[j]][row[j]] for j in range(len(intn)))
-            for row in self.incidence.rows
-        )
+        return residuated_meets(self.algebra, intn, self.incidence.rows)
 
     def up(self, f: MvSet) -> MvSet:
         return lift1(self.incidence, f)
@@ -135,6 +124,9 @@ class ConceptLattice:
             tuple(all(meet_tab[a][b] == a for a, b in zip(exts[i], exts[j])) for j in range(n))
             for i in range(n)
         )
+        top = context.algebra.top
+        self.top_index = self._by_extent[(top,) * len(context.objects)]
+        self.bottom_index = self._by_intent[(top,) * len(context.attributes)]
         self._meet_table = None
         self._join_table = None
 
@@ -156,42 +148,30 @@ class ConceptLattice:
     def leq(self, i: int, j: int) -> bool:
         return self.order[i][j]
 
-    @property
-    def bottom_index(self) -> int:
-        return next(i for i in range(len(self.concepts)) if all(self.order[i]))
-
-    @property
-    def top_index(self) -> int:
-        return next(i for i in range(len(self.concepts)) if all(row[i] for row in self.order))
+    def _pointwise_meet_table(self, vectors, index) -> tuple:
+        """Entry (i, j) is the index of the pointwise meet of vectors i and j."""
+        meet_tab = self.context.algebra.meet_table
+        return tuple(
+            tuple(index[tuple(meet_tab[a][b] for a, b in zip(u, v))] for v in vectors)
+            for u in vectors
+        )
 
     @property
     def meet_table(self):
+        """Concept meets: the meet of two concepts has the pointwise meet of their extents."""
         if self._meet_table is None:
-            meet_tab = self.context.algebra.meet_table
-            exts = [c.extent.degrees for c in self.concepts]
-            table = []
-            for ei in exts:
-                row = []
-                for ej in exts:
-                    key = tuple(meet_tab[a][b] for a, b in zip(ei, ej))
-                    row.append(self._by_extent[key])
-                table.append(tuple(row))
-            self._meet_table = tuple(table)
+            self._meet_table = self._pointwise_meet_table(
+                [c.extent.degrees for c in self.concepts], self._by_extent
+            )
         return self._meet_table
 
     @property
     def join_table(self):
+        """Concept joins: the join of two concepts has the pointwise meet of their intents."""
         if self._join_table is None:
-            meet_tab = self.context.algebra.meet_table
-            ints = [c.intent.degrees for c in self.concepts]
-            table = []
-            for ui in ints:
-                row = []
-                for uj in ints:
-                    key = tuple(meet_tab[a][b] for a, b in zip(ui, uj))
-                    row.append(self._by_intent[key])
-                table.append(tuple(row))
-            self._join_table = tuple(table)
+            self._join_table = self._pointwise_meet_table(
+                [c.intent.degrees for c in self.concepts], self._by_intent
+            )
         return self._join_table
 
     def meet(self, i: int, j: int) -> int:
@@ -233,19 +213,18 @@ def enumerate_concepts(ctx: Context, budget: int = DEFAULT_CONCEPT_BUDGET) -> Co
     """List every concept of the context exactly once.
 
     Basic extents are the down-closures of attribute singletons; their
-    pointwise meets, re-closed through concept_of, exhaust all extents.
+    pointwise meets, which are extents already, exhaust all extents.
     Exceeding the budget raises instead of truncating.
     """
     alg = ctx.algebra
     res = alg.residuum_table
     meet_tab = alg.meet_table
-    rows = ctx.incidence.rows
     n_obj = len(ctx.objects)
 
     found = set()
     for alpha in range(alg.size):
-        for j in range(len(ctx.attributes)):
-            found.add(tuple(res[alpha][rows[i][j]] for i in range(n_obj)))
+        for column in ctx.incidence.columns:
+            found.add(tuple(res[alpha][v] for v in column))
     top_seed = (alg.top,) * n_obj
     found.add(ctx._down_degrees(ctx._up_degrees(top_seed)))
 
@@ -257,9 +236,6 @@ def enumerate_concepts(ctx: Context, budget: int = DEFAULT_CONCEPT_BUDGET) -> Co
         t = queue.pop()
         for s in list(found):
             m = tuple(meet_tab[a][b] for a, b in zip(t, s))
-            if m in found:
-                continue
-            m = ctx._down_degrees(ctx._up_degrees(m))
             if m not in found:
                 found.add(m)
                 queue.append(m)

@@ -77,10 +77,9 @@ def _check_relation_singletons(base: Context, relation: MvRelation, name: str):
     res = alg.residuum_table
     checks = []
     n_obj = len(base.objects)
-    n_att = len(base.attributes)
     for alpha in range(alg.size):
-        for j in range(n_att):
-            image = tuple(res[alpha][relation.rows[i][j]] for i in range(n_obj))
+        for j, column in enumerate(relation.columns):
+            image = tuple(res[alpha][v] for v in column)
             closure = base._down_degrees(base._up_degrees(image))
             checks.append(
                 SingletonCheck(name, "extent", alpha, base.attributes[j], closure == image, image, closure)

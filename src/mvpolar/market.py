@@ -203,6 +203,17 @@ def _listing(algebra, title, formula, reading, mv: MvSet) -> DegreeListing:
     return DegreeListing(title, formula, reading, entries)
 
 
+def concept_report(
+    arena: Arena, query: dict, concept: Concept, extent_side: tuple, intent_side: tuple
+) -> AnalysisReport:
+    """Extent over firms and intent over markets; each side is a (formula, reading) pair."""
+    listings = (
+        _listing(arena.algebra, "extent over firms", *extent_side, concept.extent),
+        _listing(arena.algebra, "intent over markets", *intent_side, concept.intent),
+    )
+    return AnalysisReport(query, listings, arena.notes())
+
+
 TYPICALITY_KINDS = ("rhd_over_concept", "lhd_over_concept")
 
 

@@ -4,7 +4,9 @@ Carriers are ordered tuples of string identifiers; degrees are dense
 tuples of algebra indices aligned with the carrier.  The two relational
 lifts turn a relation U x W into operators between the set sides:
 lift1 maps subsets of U to subsets of W, lift0 maps subsets of W back
-to subsets of U, both by residuated meets.
+to subsets of U.  Both are the one residuated-meet kernel
+residuated_meets, run over the relation's columns or over its rows;
+the Galois maps of a context use the same kernel.
 """
 
 from __future__ import annotations
@@ -119,10 +121,26 @@ def subsethood(f: MvSet, g: MvSet) -> int:
     return f.algebra.meet_all(res[a][b] for a, b in zip(f.degrees, g.degrees))
 
 
-class MvRelation:
-    """A total map from source x target into a truth algebra, stored by rows."""
+def residuated_meets(algebra: TruthAlgebra, degrees: Sequence[int], vectors) -> tuple:
+    """For each vector v, the meet over k of degrees[k] -> v[k]."""
+    res = algebra.residuum_table
+    meet = algebra.meet_table
+    top = algebra.top
+    arrows = [res[d] for d in degrees]
+    out = []
+    for v in vectors:
+        acc = top
+        for arrow, x in zip(arrows, v):
+            acc = meet[acc][arrow[x]]
+        out.append(acc)
+    return tuple(out)
 
-    __slots__ = ("algebra", "source", "target", "rows")
+
+class MvRelation:
+    """A total map from source x target into a truth algebra, stored by rows
+    and, for the lifts over the source, by columns."""
+
+    __slots__ = ("algebra", "source", "target", "rows", "columns")
 
     def __init__(self, algebra: TruthAlgebra, source, target, rows):
         self.algebra = algebra
@@ -134,6 +152,7 @@ class MvRelation:
         self.rows = tuple(
             _normalize_degrees(algebra, len(self.target), row, "MvRelation row") for row in rows
         )
+        self.columns = tuple(zip(*self.rows))
 
     @classmethod
     def identity(cls, algebra: TruthAlgebra, carrier: Sequence[str]) -> "MvRelation":
@@ -162,12 +181,10 @@ class MvRelation:
         return self.rows[i][j]
 
     def transpose(self) -> "MvRelation":
-        return MvRelation(
-            self.algebra,
-            self.target,
-            self.source,
-            tuple(tuple(row[j] for row in self.rows) for j in range(len(self.target))),
-        )
+        t = object.__new__(MvRelation)
+        t.algebra, t.source, t.target = self.algebra, self.target, self.source
+        t.rows, t.columns = self.columns, self.rows
+        return t
 
     def __eq__(self, other):
         if not isinstance(other, MvRelation):
@@ -196,22 +213,10 @@ def _check_lift(R: MvRelation, s: MvSet, expected: tuple, what: str):
 def lift1(R: MvRelation, f: MvSet) -> MvSet:
     """x in target maps to the meet over a of f(a) -> R(a, x)."""
     _check_lift(R, f, R.source, "lift1")
-    alg = R.algebra
-    res = alg.residuum_table
-    fd = f.degrees
-    out = []
-    for j in range(len(R.target)):
-        out.append(alg.meet_all(res[fd[i]][row[j]] for i, row in enumerate(R.rows)))
-    return MvSet(alg, R.target, tuple(out))
+    return MvSet(R.algebra, R.target, residuated_meets(R.algebra, f.degrees, R.columns))
 
 
 def lift0(R: MvRelation, u: MvSet) -> MvSet:
     """a in source maps to the meet over x of u(x) -> R(a, x)."""
     _check_lift(R, u, R.target, "lift0")
-    alg = R.algebra
-    res = alg.residuum_table
-    ud = u.degrees
-    out = []
-    for row in R.rows:
-        out.append(alg.meet_all(res[ud[j]][row[j]] for j in range(len(ud))))
-    return MvSet(alg, R.source, tuple(out))
+    return MvSet(R.algebra, R.source, residuated_meets(R.algebra, u.degrees, R.rows))

@@ -7,11 +7,33 @@ the primitive algebra operations.
 
 import itertools
 
-from mvpolar import Concept, MvSet
+from mvpolar import Concept, MvSet, custom_algebra
 
 
 def all_degree_tuples(algebra, length):
     return itertools.product(range(algebra.size), repeat=length)
+
+
+def product_of_chains(first, second):
+    """Componentwise product of two algebras as a custom algebra.
+
+    The pair (x, y) gets index x * second.size + y, so the index order is
+    not the lattice order: (0, top) and (1, 0) are incomparable.
+    """
+    pairs = list(itertools.product(range(first.size), range(second.size)))
+    index = {p: k for k, p in enumerate(pairs)}
+
+    def table(name):
+        t1, t2 = getattr(first, name), getattr(second, name)
+        return [[index[(t1[a][c], t2[b][d])] for c, d in pairs] for a, b in pairs]
+
+    return custom_algebra(
+        len(pairs),
+        join=table("join_table"),
+        meet=table("meet_table"),
+        otimes=table("otimes_table"),
+        residuum=table("residuum_table"),
+    )
 
 
 def brute_force_concepts(ctx):

@@ -8,6 +8,7 @@ from mvpolar import (
     UsageError,
     boolean_algebra,
     evaluate,
+    goedel_chain,
     lukasiewicz_chain,
     membership_degree,
     parse_formula,
@@ -30,6 +31,36 @@ from mvpolar.canonical import (
 
 B = boolean_algebra()
 L3 = lukasiewicz_chain(3)
+G4 = goedel_chain(4)
+
+
+def pentagon_modal_lattice(box=None, dia=None):
+    """e0 < e1 < e2 < e4 and e0 < e3 < e4, with e3 incomparable to e1 and e2."""
+    up = {0: {0, 1, 2, 3, 4}, 1: {1, 2, 4}, 2: {2, 4}, 3: {3, 4}, 4: {4}}
+    names = [f"e{i}" for i in range(5)]
+    ident = {e: e for e in names}
+    leq = [[j in up[i] for j in range(5)] for i in range(5)]
+    return ModalLattice(names, leq, box or ident, dia or ident)
+
+
+def moved_chain():
+    return chain_modal_lattice(
+        3, box={"e0": "e0", "e1": "e0", "e2": "e2"}, dia={"e0": "e0", "e1": "e2", "e2": "e2"}
+    )
+
+
+def small_lattices():
+    return (
+        chain_modal_lattice(2),
+        chain_modal_lattice(3),
+        diamond_modal_lattice(),
+        pentagon_modal_lattice(),
+        pentagon_modal_lattice(
+            box={"e0": "e0", "e1": "e0", "e2": "e2", "e3": "e0", "e4": "e4"},
+            dia={"e0": "e0", "e1": "e2", "e2": "e2", "e3": "e4", "e4": "e4"},
+        ),
+        moved_chain(),
+    )
 
 
 def test_poset_validation():
@@ -117,11 +148,60 @@ def naive_ideals(lattice, algebra):
     return out
 
 
+def naive_diamond_inverse(f):
+    """a maps to the join of f(b) over all b with dia(b) <= a."""
+    lat, alg = f.lattice, f.algebra
+    out = []
+    for a in range(len(lat)):
+        value = alg.bottom
+        for b in range(len(lat)):
+            if lat.leq[lat.dia_map[b]][a]:
+                value = alg.join(value, f.degrees[b])
+        out.append(value)
+    return tuple(out)
+
+
+def naive_box_inverse(i):
+    """a maps to the join of i(b) over all b with a <= box(b)."""
+    lat, alg = i.lattice, i.algebra
+    out = []
+    for a in range(len(lat)):
+        value = alg.bottom
+        for b in range(len(lat)):
+            if lat.leq[a][lat.box_map[b]]:
+                value = alg.join(value, i.degrees[b])
+        out.append(value)
+    return tuple(out)
+
+
 def test_enumeration_matches_naive_definition():
-    for lat in (chain_modal_lattice(2), chain_modal_lattice(3), diamond_modal_lattice()):
-        for alg in (B, L3):
+    for lat in small_lattices():
+        for alg in (B, L3, G4):
             assert [f.degrees for f in enumerate_filters(lat, alg)] == naive_filters(lat, alg)
             assert [i.degrees for i in enumerate_ideals(lat, alg)] == naive_ideals(lat, alg)
+
+
+def test_inverse_transforms_match_their_defining_joins():
+    for lat in small_lattices():
+        for alg in (B, L3, G4):
+            for f in enumerate_filters(lat, alg):
+                assert diamond_inverse(f).degrees == naive_diamond_inverse(f)
+            for i in enumerate_ideals(lat, alg):
+                assert box_inverse(i).degrees == naive_box_inverse(i)
+
+
+def test_dual_swaps_the_tables_and_is_an_involution():
+    for lat in small_lattices():
+        dual = lat.dual()
+        assert dual is lat.dual()
+        assert dual.meet_table == lat.join_table and dual.join_table == lat.meet_table
+        assert dual.box_map == lat.dia_map and dual.dia_map == lat.box_map
+        assert (dual.top_index, dual.bottom_index) == (lat.bottom_index, lat.top_index)
+        back = dual.dual()
+        assert back.elements == lat.elements and back.leq == lat.leq
+        assert back.meet_table == lat.meet_table and back.join_table == lat.join_table
+        assert back.box_map == lat.box_map and back.dia_map == lat.dia_map
+        assert (back.top_index, back.bottom_index) == (lat.top_index, lat.bottom_index)
 
 
 def test_frozen_filter_counts():
@@ -172,12 +252,7 @@ def test_surrogates_agree_and_are_compatible():
         (chain_modal_lattice(3), L3),
         (diamond_modal_lattice(), L3),
         (diamond_modal_lattice(), B),
-        (
-            chain_modal_lattice(
-                3, box={"e0": "e0", "e1": "e0", "e2": "e2"}, dia={"e0": "e0", "e1": "e2", "e2": "e2"}
-            ),
-            L3,
-        ),
+        (moved_chain(), L3),
     ]
     for lat, alg in cases:
         sur = build_surrogate(lat, alg)

@@ -14,7 +14,7 @@ from mvpolar import (
     subsethood,
 )
 from mvpolar.sampling import random_context
-from oracles import all_degree_tuples, brute_force_concepts
+from oracles import all_degree_tuples, brute_force_concepts, product_of_chains
 
 L3 = lukasiewicz_chain(3)
 B = boolean_algebra()
@@ -56,6 +56,17 @@ def test_diagonal_context_is_the_four_diamond():
     assert [c.extent.degrees for c in lattice] == [(0, 0), (0, 1), (1, 0), (1, 1)]
     assert lattice.bottom_index == 0 and lattice.top_index == 3
     assert sorted(lattice.covers()) == [(0, 1), (0, 2), (1, 3), (2, 3)]
+
+
+def test_cached_top_and_bottom_match_the_order_scan():
+    alg = product_of_chains(L3, B)
+    rng = random.Random(7)
+    for _ in range(20):
+        ctx = random_context(rng, alg, rng.randint(1, 3), rng.randint(1, 3))
+        lattice = enumerate_concepts(ctx)
+        n = len(lattice)
+        assert lattice.bottom_index == next(i for i in range(n) if all(lattice.order[i]))
+        assert lattice.top_index == next(i for i in range(n) if all(row[i] for row in lattice.order))
 
 
 def test_all_one_context_has_a_single_concept():

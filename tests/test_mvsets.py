@@ -15,8 +15,9 @@ from mvpolar import (
     lukasiewicz_chain,
     singleton,
     subsethood,
+    validate_algebra,
 )
-from oracles import all_degree_tuples, slow_subsethood
+from oracles import all_degree_tuples, product_of_chains, slow_subsethood
 
 L3 = lukasiewicz_chain(3)
 B = boolean_algebra()
@@ -139,6 +140,19 @@ def test_lifts_are_antitone():
             f, g = MvSet(L3, AB, fd), MvSet(L3, AB, gd)
             if f.leq(g):
                 assert lift1(R, g).leq(lift1(R, f))
+
+
+def test_lift0_is_lift1_of_the_transpose():
+    L3xB = product_of_chains(L3, B)
+    assert validate_algebra(L3xB).ok
+    for alg in (L3, L3xB):
+        for rows in itertools.product(all_degree_tuples(alg, 2), repeat=2):
+            R = MvRelation(alg, AB, ("x", "y"), rows)
+            Rt = R.transpose()
+            assert Rt.rows == R.columns and Rt.columns == R.rows
+            for ud in all_degree_tuples(alg, 2):
+                u = MvSet(alg, ("x", "y"), ud)
+                assert lift0(R, u) == lift1(Rt, u)
 
 
 def test_lift_carrier_checks():
