@@ -219,6 +219,15 @@ class _MeetPreservingMap:
         if not _is_filter(self._order, self.algebra, self.degrees):
             raise InputError(self._invalid)
 
+    @classmethod
+    def _accepted(cls, lattice: ModalLattice, algebra: TruthAlgebra, degrees: tuple):
+        """Wrap degrees that _filter_degrees has already accepted, without checking them again."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "lattice", lattice)
+        object.__setattr__(out, "algebra", algebra)
+        object.__setattr__(out, "degrees", degrees)
+        return out
+
     @property
     def proper(self) -> bool:
         return self.degrees[self._order.bottom_index] == self.algebra.bottom
@@ -266,14 +275,14 @@ def enumerate_filters(
     lattice: ModalLattice, algebra: TruthAlgebra, budget: int = DEFAULT_ENUMERATION_BUDGET
 ):
     """All filters, in lexicographic order of their degree tuples."""
-    return tuple(MvFilter(lattice, algebra, d) for d in _filter_degrees(lattice, algebra, budget))
+    return tuple(MvFilter._accepted(lattice, algebra, d) for d in _filter_degrees(lattice, algebra, budget))
 
 
 def enumerate_ideals(
     lattice: ModalLattice, algebra: TruthAlgebra, budget: int = DEFAULT_ENUMERATION_BUDGET
 ):
     """All ideals (the filters of the dual), in lexicographic order of their degree tuples."""
-    return tuple(MvIdeal(lattice, algebra, d) for d in _filter_degrees(lattice.dual(), algebra, budget))
+    return tuple(MvIdeal._accepted(lattice, algebra, d) for d in _filter_degrees(lattice.dual(), algebra, budget))
 
 
 def _diamond_inverse_degrees(order: ModalLattice, algebra: TruthAlgebra, degrees) -> tuple:

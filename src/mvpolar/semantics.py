@@ -3,14 +3,19 @@
 Two evaluation routes are kept deliberately separate.  `evaluate` walks
 the formula tree and recomputes every concept from the definitions; it
 is the reference implementation.  `ComplexAlgebra` tabulates the lattice
-operations and the modal maps once and then works on concept indices,
-which is what the validity search uses.  Tests compare the two.
+operations and the modal maps once, and `_Program` compiles a formula or
+a sequent once into a flat post-order list of lookups in those tables
+over concept indices.  The validity search runs that list for each
+assignment of the outer atoms, with the innermost atom's values as one
+column, so each connective costs a pass over a column in C rather than
+one Python-level lookup per valuation.  Tests compare the two routes.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import getitem
 from typing import Mapping, Optional
 
 from .context import Concept, ConceptLattice, enumerate_concepts
@@ -118,8 +123,9 @@ def sequent_true(model: Model, sequent: Sequent) -> bool:
 class ComplexAlgebra:
     """Concept lattice of a frame with the modal maps tabulated.
 
-    Formulas are evaluated on concept indices, so after the one-time
-    table construction each connective costs one lookup.
+    Formulas are evaluated on concept indices: `_Program` compiles them
+    once into a flat list of lookups in these tables, and the validity
+    search runs that list a whole column of the innermost atom at a time.
     """
 
     _OPS = (("box", "r_box", True), ("dia", "r_diamond", True), ("rhd", "r_rhd", False), ("lhd", "r_lhd", False))
@@ -150,35 +156,124 @@ class ComplexAlgebra:
 
     def eval_indexed(self, formula: Formula, assignment: Mapping[str, int]) -> int:
         """Concept index of the formula under an atom-to-index assignment."""
-        memo: dict = {}
-
-        def go(f: Formula) -> int:
-            if f in memo:
-                return memo[f]
-            if f.op == "atom":
-                try:
-                    v = assignment[f.name]
-                except KeyError:
-                    raise UsageError(f"no valuation for atom {f.name!r}") from None
-            elif f.op == "top":
-                v = self.lattice.top_index
-            elif f.op == "bot":
-                v = self.lattice.bottom_index
-            elif f.op == "and":
-                v = self.lattice.meet_table[go(f.args[0])][go(f.args[1])]
-            elif f.op == "or":
-                v = self.lattice.join_table[go(f.args[0])][go(f.args[1])]
-            else:
-                v = self._unary(f.op)[go(f.args[0])]
-            memo[f] = v
-            return v
-
-        return go(formula)
+        program = _Program(self, assignment)
+        return program.run(program.formula(formula), assignment)
 
     def sequent_holds(self, sequent: Sequent, assignment: Mapping[str, int]) -> bool:
-        return self.lattice.order[self.eval_indexed(sequent.lhs, assignment)][
-            self.eval_indexed(sequent.rhs, assignment)
-        ]
+        program = _Program(self, assignment)
+        return program.run(program.entailment(sequent), assignment)
+
+
+# Step kinds.  A scalar step stores one concept index; a row step maps
+# one column through a table row; a pair step looks up two columns
+# entry by entry.
+_SCALAR, _ROW, _PAIR = range(3)
+
+
+def _run(steps, vals):
+    for kind, dst, table, a, b in steps:
+        if kind == _SCALAR:
+            vals[dst] = table[vals[a]] if b is None else table[vals[a]][vals[b]]
+        elif kind == _ROW:
+            row = table if b is None else table[vals[b]]
+            vals[dst] = tuple(map(row.__getitem__, vals[a]))
+        else:
+            vals[dst] = tuple(map(getitem, map(table.__getitem__, vals[a]), vals[b]))
+
+
+class _Program:
+    """Formulas compiled into one flat post-order program over concept indices.
+
+    Each distinct subformula gets one slot, so formulas are hashed only
+    here.  Visiting a connective checks its relation before its
+    arguments, and an atom outside `known` is refused when reached, in
+    the order a recursive evaluation would meet them.  A slot that
+    depends on the atom `inner` holds a column: one concept index per
+    value of that atom, in index order.  Steps that depend on no other
+    atom are `fixed` and run once; the rest are `varying` and run once
+    per assignment of the other atoms.
+    """
+
+    def __init__(self, algebra: ComplexAlgebra, known, inner: Optional[str] = None):
+        self.algebra = algebra
+        self.known = known
+        self.inner = inner
+        self.slots: dict = {}
+        self.initial: list = []
+        self.column: list = []
+        self.varies: list = []
+        self.atom_slots: dict = {}
+        self.fixed: list = []
+        self.varying: list = []
+
+    def _slot(self, value, column: bool, varies: bool) -> int:
+        self.initial.append(value)
+        self.column.append(column)
+        self.varies.append(varies)
+        return len(self.initial) - 1
+
+    def _step(self, kind, table, a, b=None) -> int:
+        column = self.column[a] or (b is not None and self.column[b])
+        varies = self.varies[a] or (b is not None and self.varies[b])
+        dst = self._slot(None, column, varies)
+        (self.varying if varies else self.fixed).append((kind, dst, table, a, b))
+        return dst
+
+    def _binary(self, table, a: int, b: int, symmetric: bool = True) -> int:
+        if self.column[a] and self.column[b]:
+            return self._step(_PAIR, table, a, b)
+        if self.column[a]:
+            return self._step(_ROW, table if symmetric else tuple(zip(*table)), a, b)
+        if self.column[b]:
+            return self._step(_ROW, table, b, a)
+        return self._step(_SCALAR, table, a, b)
+
+    def formula(self, f: Formula) -> int:
+        slot = self.slots.get(f)
+        if slot is not None:
+            return slot
+        lattice = self.algebra.lattice
+        op = f.op
+        if op == "atom":
+            if f.name not in self.known:
+                raise UsageError(f"no valuation for atom {f.name!r}")
+            if f.name == self.inner:
+                slot = self._slot(range(len(lattice)), True, False)
+            else:
+                slot = self.atom_slots[f.name] = self._slot(None, False, True)
+        elif op == "top":
+            slot = self._slot(lattice.top_index, False, False)
+        elif op == "bot":
+            slot = self._slot(lattice.bottom_index, False, False)
+        elif op in ("and", "or"):
+            table = lattice.meet_table if op == "and" else lattice.join_table
+            slot = self._binary(table, self.formula(f.args[0]), self.formula(f.args[1]))
+        else:
+            table = self.algebra._unary(op)
+            arg = self.formula(f.args[0])
+            slot = self._step(_ROW if self.column[arg] else _SCALAR, table, arg)
+        self.slots[f] = slot
+        return slot
+
+    def entailment(self, sequent: Sequent) -> int:
+        """Slot of the truth value of lhs <= rhs in the lattice order."""
+        lhs = self.formula(sequent.lhs)
+        rhs = self.formula(sequent.rhs)
+        return self._binary(self.algebra.lattice.order, lhs, rhs, symmetric=False)
+
+    def start(self) -> list:
+        """Slot values after the fixed steps; the other atoms' slots are still empty."""
+        vals = list(self.initial)
+        _run(self.fixed, vals)
+        return vals
+
+    def run(self, slot: int, assignment: Mapping[str, int]):
+        """Value of a slot under a scalar assignment (no inner atom)."""
+        vals = self.start()
+        for name, s in self.atom_slots.items():
+            vals[s] = assignment[name]
+        _run(self.varying, vals)
+        return vals[slot]
 
 
 @dataclass(frozen=True)
@@ -212,14 +307,23 @@ def sequent_valid(
         raise ResourceError(
             f"{total} valuations of {len(atoms)} atoms over {size} concepts exceed the budget of {budget}"
         )
-    checked = 0
-    for combo in itertools.product(range(size), repeat=len(atoms)):
-        checked += 1
-        assignment = dict(zip(atoms, combo))
-        if not ca.sequent_holds(sequent, assignment):
-            counter = {name: ca.lattice[i] for name, i in assignment.items()}
-            return ValidityVerdict(False, counter, checked, size)
-    return ValidityVerdict(True, None, checked, size)
+    program = _Program(ca, atoms, atoms[-1] if atoms else None)
+    verdict = program.entailment(sequent)
+    column = program.column[verdict]
+    vals = program.start()
+    outer_slots = [program.atom_slots[name] for name in atoms[:-1]]
+    width = size if atoms else 1
+    for k, combo in enumerate(itertools.product(range(size), repeat=len(outer_slots))):
+        for slot, v in zip(outer_slots, combo):
+            vals[slot] = v
+        _run(program.varying, vals)
+        holds = vals[verdict] if column else (vals[verdict],)
+        if all(holds):
+            continue
+        x = holds.index(False)
+        counter = {name: ca.lattice[i] for name, i in zip(atoms, combo + (x,))}
+        return ValidityVerdict(False, counter, k * width + x + 1, size)
+    return ValidityVerdict(True, None, total, size)
 
 
 @dataclass(frozen=True)

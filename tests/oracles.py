@@ -7,7 +7,7 @@ the primitive algebra operations.
 
 import itertools
 
-from mvpolar import Concept, MvSet, custom_algebra
+from mvpolar import Concept, Model, MvSet, ValidityVerdict, custom_algebra, enumerate_concepts, sequent_true
 
 
 def all_degree_tuples(algebra, length):
@@ -81,3 +81,16 @@ def slow_diamond_intent(frame, extent):
             v = algebra.meet(v, algebra.residuum(extent.degrees[i], rel.at(j, i)))
         out.append(v)
     return tuple(out)
+
+
+def naive_sequent_valid(frame, sequent):
+    """Validity by checking every valuation, in lexicographic order, with sequent_true on a Model."""
+    lattice = enumerate_concepts(frame.base)
+    atoms = sequent.atoms()
+    checked = 0
+    for combo in itertools.product(range(len(lattice)), repeat=len(atoms)):
+        checked += 1
+        valuation = {name: lattice[i] for name, i in zip(atoms, combo)}
+        if not sequent_true(Model(frame, valuation), sequent):
+            return ValidityVerdict(False, valuation, checked, len(lattice))
+    return ValidityVerdict(True, None, checked, len(lattice))

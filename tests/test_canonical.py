@@ -179,6 +179,8 @@ def test_enumeration_matches_naive_definition():
         for alg in (B, L3, G4):
             assert [f.degrees for f in enumerate_filters(lat, alg)] == naive_filters(lat, alg)
             assert [i.degrees for i in enumerate_ideals(lat, alg)] == naive_ideals(lat, alg)
+            assert enumerate_filters(lat, alg) == tuple(MvFilter(lat, alg, d) for d in naive_filters(lat, alg))
+            assert enumerate_ideals(lat, alg) == tuple(MvIdeal(lat, alg, d) for d in naive_ideals(lat, alg))
 
 
 def test_inverse_transforms_match_their_defining_joins():

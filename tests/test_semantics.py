@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvpolar import (
     BOT,
@@ -18,6 +20,7 @@ from mvpolar import (
     UsageError,
     atom,
     boolean_algebra,
+    goedel_chain,
     box,
     conj,
     description_degree,
@@ -35,9 +38,12 @@ from mvpolar import (
     truth_witness,
 )
 from mvpolar.sampling import make_rng, random_compatible_frame, random_formula
+from mvpolar.syntax import Sequent
+from oracles import naive_sequent_valid, product_of_chains
 
 B = boolean_algebra()
 L3 = lukasiewicz_chain(3)
+G4 = goedel_chain(4)
 p, q = atom("p"), atom("q")
 
 
@@ -170,6 +176,97 @@ def test_complex_algebra_tables_and_capability_gaps():
     assert ca.maps["rhd"] is None and ca.maps["lhd"] is None
     with pytest.raises(CapabilityError):
         ca.eval_indexed(parse_formula("rhd p"), {"p": 0})
+
+
+def test_budget_is_checked_before_the_relations():
+    base = diag_context()
+    frame = EnrichedContext(base, r_box=base.incidence, r_diamond=base.incidence.transpose())
+    with pytest.raises(ResourceError):
+        sequent_valid(frame, parse_sequent("rhd p & q |- r"), budget=10)
+
+
+def test_capability_error_names_the_first_relation_reached():
+    frame = all_zero_box_frame()
+    for text, missing in (
+        ("rhd p |- lhd p", "r_rhd"),
+        ("lhd p |- rhd p", "r_lhd"),
+        ("p & rhd lhd q |- p", "r_rhd"),
+        ("p |- q & lhd (rhd p)", "r_lhd"),
+    ):
+        with pytest.raises(CapabilityError, match=f"this frame carries no {missing}$"):
+            sequent_valid(frame, parse_sequent(text))
+
+
+def test_eval_indexed_refuses_an_unassigned_atom():
+    ca = ComplexAlgebra(all_zero_box_frame())
+    with pytest.raises(UsageError, match="no valuation for atom 'q'"):
+        ca.eval_indexed(parse_formula("p & box q"), {"p": 0})
+    with pytest.raises(UsageError, match="no valuation for atom 'p'"):
+        ca.sequent_holds(parse_sequent("p |- q"), {"q": 0})
+
+
+DIFFERENTIAL_SEQUENTS = (
+    "top |- bot",
+    "top |- top",
+    "p |- q",
+    "q |- box p",
+    "p & q |- p",
+    "top |- p",
+    "p |- bot",
+    "bot |- box p",
+    "p | q |- top",
+    "box top |- dia bot",
+    "box p & box p |- dia box p",
+    "(p & q) | (p & q) |- p & (q | p)",
+    "rhd p |- lhd q",
+    "dia p |- box p",
+    "rhd (p | q) |- rhd p & rhd q",
+    "lhd lhd p |- p",
+    "box (p & q) |- box p & box q",
+    "dia q |- box (p | q)",
+    "p & q & r |- p | r",
+    "rhd r |- lhd (p & dia q)",
+)
+
+
+def differential_frames():
+    algebras = ((B, 2, 3), (L3, 2, 3), (G4, 2, 2), (product_of_chains(L3, B), 2, 2))
+    for seed in range(2):
+        for algebra, n_objects, n_attributes in algebras:
+            yield random_compatible_frame(
+                random.Random(seed), algebra, n_objects, n_attributes, with_rhd=True, with_lhd=True
+            )
+
+
+def test_compiled_search_matches_the_naive_scan():
+    invalid = 0
+    for frame in differential_frames():
+        for text in DIFFERENTIAL_SEQUENTS:
+            sequent = parse_sequent(text)
+            verdict = sequent_valid(frame, sequent)
+            assert verdict == naive_sequent_valid(frame, sequent), text
+            invalid += not verdict.valid
+    assert invalid > 20
+
+
+HYPOTHESIS_FRAMES = tuple(differential_frames())[:4] + (
+    random_compatible_frame(random.Random(5), L3, 2, 2, with_rhd=False, with_lhd=True),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, len(HYPOTHESIS_FRAMES) - 1), st.integers(0, 2**32), st.integers(0, 4))
+def test_compiled_search_matches_the_naive_scan_on_random_sequents(which, seed, depth):
+    frame = HYPOTHESIS_FRAMES[which]
+    rng = make_rng(seed)
+    sequent = Sequent(random_formula(rng, ("p", "q"), depth), random_formula(rng, ("p", "q"), depth))
+    try:
+        want = naive_sequent_valid(frame, sequent)
+    except CapabilityError as exc:
+        with pytest.raises(CapabilityError, match=f"^{exc}$"):
+            sequent_valid(frame, sequent)
+    else:
+        assert sequent_valid(frame, sequent) == want
 
 
 def test_indexed_and_pointwise_evaluation_agree():
