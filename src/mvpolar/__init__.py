@@ -20,6 +20,7 @@ from .algebra import (
     validate_algebra,
 )
 from .canonical import (
+    CanonicalParts,
     CanonicalSurrogate,
     LemmaReport,
     ModalLattice,
@@ -28,6 +29,7 @@ from .canonical import (
     box_inverse,
     build_surrogate,
     canonical_model,
+    canonical_parts,
     chain_modal_lattice,
     diamond_inverse,
     diamond_modal_lattice,

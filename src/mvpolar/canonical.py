@@ -3,11 +3,18 @@
 A ModalLattice stands in for the algebra of formulas: a finite bounded
 lattice with a meet-and-top preserving box map and a join-and-bottom
 preserving diamond map.  Filters valued in a truth algebra are
-enumerated exhaustively, the inverse diamond transform is computed by
-its defining join, and the canonical frame over the proper
+enumerated by a depth-first search over the elements in index order
+that drops a prefix as soon as it breaks a meet; the output is every
+filter, in lexicographic order.  The inverse diamond transform is
+computed by its defining join, and the canonical frame over the proper
 filter/ideal pairs is built from the displayed sum formulas.  Both
 displayed forms of each canonical relation are computed independently
 and compared.
+
+canonical_parts enumerates the filters and the ideals once and computes
+both displayed forms over all of them.  lemma_suite and build_surrogate
+both take that bundle as their one input, so a caller running both does
+each piece of work once.
 
 Every ideal-side construction is the filter-side one run on the order
 dual, ModalLattice.dual(): an ideal is a filter of the dual, the box
@@ -17,7 +24,6 @@ canonical frame is the dual's diamond relation.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
@@ -258,17 +264,45 @@ class MvIdeal(_MeetPreservingMap):
         return self.lattice.dual()
 
 
-def _candidate_maps(lattice: ModalLattice, algebra: TruthAlgebra, budget: int):
-    total = algebra.size ** len(lattice)
+def _filter_degrees(order: ModalLattice, algebra: TruthAlgebra, budget: int):
+    """Degree tuples of the filters of order, in lexicographic order.
+
+    Depth-first over the elements in index order, with top pinned to the
+    algebra's top.  Each meet condition (i, j, i ^ j) is checked as soon
+    as the largest of its three indices is assigned, so a prefix that
+    already breaks one is dropped with all its extensions.
+    """
+    n, size = len(order), algebra.size
+    total = size ** n
     if total > budget:
         raise ResourceError(
-            f"{total} candidate maps over {len(lattice)} elements exceed the budget of {budget}"
+            f"{total} candidate maps over {n} elements exceed the budget of {budget}"
         )
-    return itertools.product(range(algebra.size), repeat=len(lattice))
-
-
-def _filter_degrees(order: ModalLattice, algebra: TruthAlgebra, budget: int):
-    return [d for d in _candidate_maps(order, algebra, budget) if _is_filter(order, algebra, d)]
+    meet, alg_meet = order.meet_table, algebra.meet_table
+    due = [[] for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            k = meet[i][j]
+            due[max(i, j, k)].append((i, j, k))
+    choices = [(algebra.top,) if a == order.top_index else range(size) for a in range(n)]
+    degrees = [0] * n
+    pending = [iter(choices[0])] + [None] * (n - 1)
+    found = []
+    a = 0
+    while a >= 0:
+        for v in pending[a]:
+            degrees[a] = v
+            if all(degrees[k] == alg_meet[degrees[i]][degrees[j]] for i, j, k in due[a]):
+                break
+        else:
+            a -= 1
+            continue
+        if a == n - 1:
+            found.append(tuple(degrees))
+        else:
+            a += 1
+            pending[a] = iter(choices[a])
+    return found
 
 
 def enumerate_filters(
@@ -326,6 +360,43 @@ def _displayed_forms(order: ModalLattice, algebra: TruthAlgebra, maps, co_maps):
 
 
 @dataclass(frozen=True)
+class CanonicalParts:
+    """The work lemma_suite and build_surrogate share for one lattice and algebra.
+
+    Every filter and ideal, the displayed forms of the diamond relation
+    (rows per ideal, entries per filter) and those of the box relation
+    (rows per filter, entries per ideal), each as _displayed_forms
+    returns them.  Every entry depends only on its filter/ideal pair, so
+    the surrogate reads its proper block out of these.
+    """
+
+    lattice: ModalLattice
+    algebra: TruthAlgebra
+    filters: tuple
+    ideals: tuple
+    diamond_forms: tuple
+    box_forms: tuple
+
+
+def canonical_parts(
+    lattice: ModalLattice, algebra: TruthAlgebra, budget: int = DEFAULT_ENUMERATION_BUDGET
+) -> CanonicalParts:
+    """Enumerate the filters and the ideals once and compute both displayed forms over them."""
+    filters = enumerate_filters(lattice, algebra, budget)
+    ideals = enumerate_ideals(lattice, algebra, budget)
+    fd = [f.degrees for f in filters]
+    idd = [i.degrees for i in ideals]
+    return CanonicalParts(
+        lattice,
+        algebra,
+        filters,
+        ideals,
+        _displayed_forms(lattice, algebra, fd, idd),
+        _displayed_forms(lattice.dual(), algebra, idd, fd),
+    )
+
+
+@dataclass(frozen=True)
 class CanonicalSurrogate:
     """Canonical frame over the proper filter/ideal pairs of a lattice."""
 
@@ -354,25 +425,31 @@ class CanonicalSurrogate:
         return self.frame.compatibility
 
 
-def build_surrogate(
-    lattice: ModalLattice, algebra: TruthAlgebra, budget: int = DEFAULT_ENUMERATION_BUDGET
-) -> CanonicalSurrogate:
+def _block(rows, row_keys, column_keys):
+    return [[rows[r][c] for c in column_keys] for r in row_keys]
+
+
+def build_surrogate(parts: CanonicalParts) -> CanonicalSurrogate:
     """Canonical frame from the displayed sum formulas.
 
     Objects are the proper filters, attributes the proper ideals.  Each
     canonical relation is computed in both displayed forms (the direct
     sum and the one routed through the inverse transform); the surrogate
-    records whether they agree everywhere.
+    records whether they agree everywhere.  Both forms are read out of
+    parts, restricted to the proper rows and columns.
     """
-    filters = [f for f in enumerate_filters(lattice, algebra, budget) if f.proper]
-    ideals = [i for i in enumerate_ideals(lattice, algebra, budget) if i.proper]
-    if not filters or not ideals:
+    lattice, algebra = parts.lattice, parts.algebra
+    fk = [k for k, f in enumerate(parts.filters) if f.proper]
+    ik = [k for k, i in enumerate(parts.ideals) if i.proper]
+    if not fk or not ik:
         raise InputError("the lattice has no proper filters or no proper ideals")
-    fd = [f.degrees for f in filters]
-    idd = [i.degrees for i in ideals]
-    incidence_rows = [[_sum(algebra, f, i) for i in idd] for f in fd]
-    _, dia_rows, dia_alt = _displayed_forms(lattice, algebra, fd, idd)
-    _, box_rows, box_alt = _displayed_forms(lattice.dual(), algebra, idd, fd)
+    filters = tuple(parts.filters[k] for k in fk)
+    ideals = tuple(parts.ideals[k] for k in ik)
+    incidence_rows = [[_sum(algebra, f.degrees, i.degrees) for i in ideals] for f in filters]
+    _, dia_direct, dia_routed = parts.diamond_forms
+    _, box_direct, box_routed = parts.box_forms
+    dia_rows, dia_alt = _block(dia_direct, ik, fk), _block(dia_routed, ik, fk)
+    box_rows, box_alt = _block(box_direct, fk, ik), _block(box_routed, fk, ik)
 
     f_names = [f"f{k}" for k in range(len(filters))]
     i_names = [f"i{k}" for k in range(len(ideals))]
@@ -385,8 +462,8 @@ def build_surrogate(
     return CanonicalSurrogate(
         lattice,
         algebra,
-        tuple(filters),
-        tuple(ideals),
+        filters,
+        ideals,
         frame,
         dia_rows == dia_alt,
         box_rows == box_alt,
@@ -499,16 +576,17 @@ _IDEAL_LEMMAS = (
 )
 
 
-def _lemma_half(order: ModalLattice, algebra: TruthAlgebra, maps, co_maps, names, label, co_label):
+def _lemma_half(order: ModalLattice, algebra: TruthAlgebra, maps, co_maps, forms, names, label, co_label):
     """Order, closure, properness, bound and sum checks of the diamond-inverse
-    on the filters (maps) of order; co_maps are the filters of its dual.
-    Run on the dual with the ideals as maps, it gives the box half."""
+    on the filters (maps) of order; co_maps are the filters of its dual and
+    forms the displayed forms over them.  Run on the dual with the ideals as
+    maps, it gives the box half."""
     n = len(order)
     leq, dia, elements = order.leq, order.dia_map, order.elements
     monotone, closed, proper, bound, sums = (_Tally(name, k != 2) for k, name in enumerate(names))
     maps = [m.degrees for m in maps]
     co_maps = [c.degrees for c in co_maps]
-    inverses, direct, routed = _displayed_forms(order, algebra, maps, co_maps)
+    inverses, direct, routed = forms
     for d, g in zip(maps, inverses):
         pairs = ((a, b) for a in range(n) for b in range(n) if leq[a][b] and not algebra.leq(d[a], d[b]))
         below = next(pairs, None)
@@ -529,18 +607,16 @@ def _lemma_half(order: ModalLattice, algebra: TruthAlgebra, maps, co_maps, names
     return monotone, closed, proper, bound, sums
 
 
-def lemma_suite(
-    lattice: ModalLattice, algebra: TruthAlgebra, budget: int = DEFAULT_ENUMERATION_BUDGET
-) -> LemmaReport:
+def lemma_suite(parts: CanonicalParts) -> LemmaReport:
     """Exhaustive checks of the transform and sum lemmas on one lattice.
 
     Properness preservation is reported informatively: it is only
     guaranteed for algebras of formulas, and arbitrary finite lattices
     can break it without contradicting anything.
     """
-    filters = enumerate_filters(lattice, algebra, budget)
-    ideals = enumerate_ideals(lattice, algebra, budget)
-    f = _lemma_half(lattice, algebra, filters, ideals, _FILTER_LEMMAS, "filter", "ideal")
-    i = _lemma_half(lattice.dual(), algebra, ideals, filters, _IDEAL_LEMMAS, "ideal", "filter")
+    lattice, algebra = parts.lattice, parts.algebra
+    filters, ideals = parts.filters, parts.ideals
+    f = _lemma_half(lattice, algebra, filters, ideals, parts.diamond_forms, _FILTER_LEMMAS, "filter", "ideal")
+    i = _lemma_half(lattice.dual(), algebra, ideals, filters, parts.box_forms, _IDEAL_LEMMAS, "ideal", "filter")
     checks = (f[0], i[0], f[1], f[2], i[1], i[2], f[3], i[3], f[4], i[4])
     return LemmaReport(lattice, algebra, tuple(t.done() for t in checks))

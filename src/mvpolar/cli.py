@@ -14,7 +14,7 @@ import sys
 from typing import Optional
 
 from .algebra import validate_algebra
-from .canonical import build_surrogate, lemma_suite
+from .canonical import build_surrogate, canonical_parts, lemma_suite
 from .context import enumerate_concepts
 from .errors import InputError, MvpolarError, UsageError
 from .fileio import algebra_from_spec, load_context, load_frame, load_model, load_modal_lattice
@@ -159,11 +159,12 @@ def _cmd_axioms(args) -> int:
 def _cmd_canonical(args) -> int:
     lattice = load_modal_lattice(args.lattice)
     alg = algebra_from_spec(args.algebra)
-    report = lemma_suite(lattice, alg, budget=args.budget)
+    parts = canonical_parts(lattice, alg, budget=args.budget)
+    report = lemma_suite(parts)
     surrogate = None
     surrogate_note = ""
     try:
-        surrogate = build_surrogate(lattice, alg, budget=args.budget)
+        surrogate = build_surrogate(parts)
     except InputError as e:
         surrogate_note = str(e)
     ok = report.ok

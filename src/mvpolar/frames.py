@@ -5,6 +5,13 @@ compatible with the incidence: every singleton image under the two lifts
 has to be a stable set.  Compatibility is computed once at construction;
 box_op and diamond_op refuse to run when it failed.  r_rhd and r_lhd carry
 no such condition: their operators compute a raw degree map and close it.
+
+The singleton image for alpha is a row or column scaled by alpha -> (.).
+Over a residuated lattice that scaling keeps extents extents and intents
+intents, so each row and column is closed once as itself (alpha = top)
+and the other alpha-images are closed only where that one is unstable.
+The precondition is the residuated-lattice laws, which the JSON loaders
+enforce and enumerate_concepts relies on as well.
 """
 
 from __future__ import annotations
@@ -72,24 +79,39 @@ def _check_relation_singletons(base: Context, relation: MvRelation, name: str):
     object-side map and the row through a is an attribute-side map; the
     diamond relation is shaped the other way around, so the caller passes
     it transposed and only the labels differ.
+
+    Each column and row is closed once as itself, the image for alpha =
+    top.  Where that image is stable, so is every alpha-image, and those
+    are reported with the image as its own closure without closing them:
+    alpha -> meet_y (B(y) -> I(x, y)) = meet_y ((alpha (x) B(y)) -> I(x, y)),
+    so alpha scales every extent into an extent, and likewise every
+    intent.  Where the top image is not stable, every other alpha-image
+    is closed and the top image keeps the closure already computed.
     """
     alg = base.algebra
     res = alg.residuum_table
+    sides = (
+        ("extent", base.attributes, relation.columns, lambda d: base._down_degrees(base._up_degrees(d))),
+        ("intent", base.objects, relation.rows, lambda d: base._up_degrees(base._down_degrees(d))),
+    )
+    top_scale = res[alg.top]
+    top_closures = []
+    for _, _, lines, close in sides:
+        images = [tuple(top_scale[v] for v in line) for line in lines]
+        top_closures.append([(image, close(image)) for image in images])
     checks = []
-    n_obj = len(base.objects)
     for alpha in range(alg.size):
-        for j, column in enumerate(relation.columns):
-            image = tuple(res[alpha][v] for v in column)
-            closure = base._down_degrees(base._up_degrees(image))
-            checks.append(
-                SingletonCheck(name, "extent", alpha, base.attributes[j], closure == image, image, closure)
-            )
-        for i in range(n_obj):
-            image = tuple(res[alpha][v] for v in relation.rows[i])
-            closure = base._up_degrees(base._down_degrees(image))
-            checks.append(
-                SingletonCheck(name, "intent", alpha, base.objects[i], closure == image, image, closure)
-            )
+        scale = res[alpha]
+        for (side, labels, lines, close), at_top in zip(sides, top_closures):
+            for label, line, (top_image, top_closure) in zip(labels, lines, at_top):
+                image = tuple(scale[v] for v in line)
+                if top_closure == top_image:
+                    closure = image
+                elif alpha == alg.top:
+                    closure = top_closure
+                else:
+                    closure = close(image)
+                checks.append(SingletonCheck(name, side, alpha, label, closure == image, image, closure))
     return tuple(checks)
 
 

@@ -8,6 +8,7 @@ the primitive algebra operations.
 import itertools
 
 from mvpolar import Concept, Model, MvSet, ValidityVerdict, custom_algebra, enumerate_concepts, sequent_true
+from mvpolar.frames import SingletonCheck
 
 
 def all_degree_tuples(algebra, length):
@@ -94,3 +95,85 @@ def naive_sequent_valid(frame, sequent):
         if not sequent_true(Model(frame, valuation), sequent):
             return ValidityVerdict(False, valuation, checked, len(lattice))
     return ValidityVerdict(True, None, checked, len(lattice))
+
+
+def naive_singleton_checks(base, relation, name):
+    """Compatibility checks of one relation, closing every alpha-scaled column and row.
+
+    relation is shaped objects x attributes (pass r_diamond transposed).
+    """
+    alg = base.algebra
+    res = alg.residuum_table
+    checks = []
+    for alpha in range(alg.size):
+        for j, column in enumerate(relation.columns):
+            image = tuple(res[alpha][v] for v in column)
+            closure = base._down_degrees(base._up_degrees(image))
+            checks.append(
+                SingletonCheck(name, "extent", alpha, base.attributes[j], closure == image, image, closure)
+            )
+        for i in range(len(base.objects)):
+            image = tuple(res[alpha][v] for v in relation.rows[i])
+            closure = base._up_degrees(base._down_degrees(image))
+            checks.append(
+                SingletonCheck(name, "intent", alpha, base.objects[i], closure == image, image, closure)
+            )
+    return tuple(checks)
+
+
+def naive_filters(lattice, algebra):
+    out = []
+    n = len(lattice)
+    for degrees in itertools.product(range(algebra.size), repeat=n):
+        if degrees[lattice.top_index] != algebra.top:
+            continue
+        if all(
+            degrees[lattice.meet_table[i][j]] == algebra.meet(degrees[i], degrees[j])
+            for i in range(n)
+            for j in range(n)
+        ):
+            out.append(degrees)
+    return out
+
+
+def naive_ideals(lattice, algebra):
+    out = []
+    n = len(lattice)
+    for degrees in itertools.product(range(algebra.size), repeat=n):
+        if degrees[lattice.bottom_index] != algebra.top:
+            continue
+        if all(
+            degrees[lattice.join_table[i][j]] == algebra.meet(degrees[i], degrees[j])
+            for i in range(n)
+            for j in range(n)
+        ):
+            out.append(degrees)
+    return out
+
+
+def naive_surrogate_rows(lattice, algebra):
+    """Incidence, r_box and r_diamond rows of the canonical frame, summed over
+    the proper filters x proper ideals only.
+
+    A filter is proper when it sends bottom to 0, an ideal when it sends top
+    to 0.  The incidence at (f, i) is the join over a of f(a) (x) i(a);
+    r_box at (f, i) is the join of i(a) (x) f(box a), and r_diamond at (i, f)
+    the join of f(a) (x) i(dia a).
+    """
+    n = len(lattice)
+    filters = [f for f in naive_filters(lattice, algebra) if f[lattice.bottom_index] == algebra.bottom]
+    ideals = [i for i in naive_ideals(lattice, algebra) if i[lattice.top_index] == algebra.bottom]
+
+    def total(x, y):
+        value = algebra.bottom
+        for a in range(n):
+            value = algebra.join(value, algebra.otimes(x[a], y[a]))
+        return value
+
+    def through(x, modal):
+        return tuple(x[modal[a]] for a in range(n))
+
+    incidence = tuple(tuple(total(f, i) for i in ideals) for f in filters)
+    box = tuple(tuple(total(i, through(f, lattice.box_map)) for i in ideals) for f in filters)
+    diamond = tuple(tuple(total(f, through(i, lattice.dia_map)) for f in filters) for i in ideals)
+    return filters, ideals, incidence, box, diamond

@@ -36,6 +36,7 @@ from mvpolar import (
 from mvpolar.canonical import (
     ModalLattice,
     build_surrogate,
+    canonical_parts,
     chain_modal_lattice,
     diamond_modal_lattice,
     lemma_suite,
@@ -48,7 +49,7 @@ from mvpolar.market import (
     typicality_analysis,
 )
 from mvpolar.sampling import make_rng, random_compatible_frame, random_context, random_formula
-from oracles import brute_force_concepts
+from oracles import brute_force_concepts, naive_surrogate_rows
 
 B = boolean_algebra()
 L3 = lukasiewicz_chain(3)
@@ -203,14 +204,18 @@ def test_criterion_08_transform_lemmas_across_all_small_lattices():
         for box_map in boxes:
             for dia_map in dias:
                 lat = ModalLattice(skeleton.elements, skeleton.leq, box_map, dia_map)
-                report = lemma_suite(lat, L3)
+                parts = canonical_parts(lat, L3)
+                report = lemma_suite(parts)
                 assert report.ok, f"{label}: {report.to_text()}"
                 if label == "chain1":
                     with pytest.raises(InputError):
-                        build_surrogate(lat, L3)
+                        build_surrogate(parts)
                 else:
-                    sur = build_surrogate(lat, L3)
+                    sur = build_surrogate(parts)
                     assert sur.diamond_forms_agree and sur.box_forms_agree
+                    degrees = ([f.degrees for f in sur.filters], [i.degrees for i in sur.ideals])
+                    rows = (sur.incidence.rows, sur.r_box.rows, sur.r_diamond.rows)
+                    assert degrees + rows == naive_surrogate_rows(lat, L3), label
     finish(8, time.monotonic() - start, 120.0, "transform and sum lemmas on every lattice of up to 4 elements")
 
 
@@ -218,7 +223,7 @@ def test_criterion_09_canonical_frames_are_compatible():
     start = time.monotonic()
     for lattice in (chain_modal_lattice(2), diamond_modal_lattice()):
         for alg in (B, L3):
-            sur = build_surrogate(lattice, alg)
+            sur = build_surrogate(canonical_parts(lattice, alg))
             assert sur.compatibility.ok
             assert sur.diamond_forms_agree and sur.box_forms_agree
     finish(9, time.monotonic() - start, 10.0, "canonical surrogate frames pass the compatibility check")

@@ -1,6 +1,9 @@
 import itertools
+import random
 
 import pytest
+from oracles import naive_filters, naive_ideals
+from test_acceptance import normal_modality_pairs
 
 from mvpolar import (
     InputError,
@@ -20,6 +23,7 @@ from mvpolar.canonical import (
     box_inverse,
     build_surrogate,
     canonical_model,
+    canonical_parts,
     chain_modal_lattice,
     diamond_inverse,
     diamond_modal_lattice,
@@ -118,36 +122,6 @@ def test_lattice_accessors():
     assert lat.join_table[1][2] == 3 and lat.meet_table[1][2] == 0
 
 
-def naive_filters(lattice, algebra):
-    out = []
-    n = len(lattice)
-    for degrees in itertools.product(range(algebra.size), repeat=n):
-        if degrees[lattice.top_index] != algebra.top:
-            continue
-        if all(
-            degrees[lattice.meet_table[i][j]] == algebra.meet(degrees[i], degrees[j])
-            for i in range(n)
-            for j in range(n)
-        ):
-            out.append(degrees)
-    return out
-
-
-def naive_ideals(lattice, algebra):
-    out = []
-    n = len(lattice)
-    for degrees in itertools.product(range(algebra.size), repeat=n):
-        if degrees[lattice.bottom_index] != algebra.top:
-            continue
-        if all(
-            degrees[lattice.join_table[i][j]] == algebra.meet(degrees[i], degrees[j])
-            for i in range(n)
-            for j in range(n)
-        ):
-            out.append(degrees)
-    return out
-
-
 def naive_diamond_inverse(f):
     """a maps to the join of f(b) over all b with dia(b) <= a."""
     lat, alg = f.lattice, f.algebra
@@ -240,8 +214,67 @@ def test_enumeration_budget():
         enumerate_filters(chain_modal_lattice(7), lukasiewicz_chain(10))
 
 
+def test_enumeration_budget_boundary():
+    three = chain_modal_lattice(3)
+    assert [f.degrees for f in enumerate_filters(three, L3, budget=27)] == naive_filters(three, L3)
+    assert [i.degrees for i in enumerate_ideals(three, L3, budget=27)] == naive_ideals(three, L3)
+    message = "^27 candidate maps over 3 elements exceed the budget of 26$"
+    with pytest.raises(ResourceError, match=message):
+        enumerate_filters(three, L3, budget=26)
+    with pytest.raises(ResourceError, match=message):
+        enumerate_ideals(three, L3, budget=26)
+
+
+def monotone_chain_map(rng, length, target, pinned_top):
+    """Random monotone map between chains sending top to top (or bottom to bottom)."""
+    values = sorted(rng.randrange(target) for _ in range(length - 1))
+    return values + [target - 1] if pinned_top else [0] + values
+
+
+def grid_modal_lattice(rng, m, n, top_first=False):
+    """The product of an m-chain and an n-chain with random normal maps.
+
+    box(a, b) = (min(p(a), q(b)), min(r(a), t(b))) for monotone p, q, r, t
+    fixing top preserves meets; dia is the same with max and bottom.
+    With top_first the elements are listed from top to bottom.
+    """
+    points = sorted(itertools.product(range(m), range(n)), reverse=top_first)
+    names = [f"e{a}{b}" for a, b in points]
+    leq = [[a <= c and b <= d for c, d in points] for a, b in points]
+
+    def normal(pick, pinned_top):
+        p, q = monotone_chain_map(rng, m, m, pinned_top), monotone_chain_map(rng, n, m, pinned_top)
+        r, t = monotone_chain_map(rng, m, n, pinned_top), monotone_chain_map(rng, n, n, pinned_top)
+        return {f"e{a}{b}": f"e{pick(p[a], q[b])}{pick(r[a], t[b])}" for a, b in points}
+
+    return ModalLattice(names, leq, normal(min, True), normal(max, False))
+
+
+def random_normal_lattice(rng, skeleton):
+    """skeleton with a box and a dia drawn from all its normal maps."""
+    boxes, dias = normal_modality_pairs(skeleton)
+    return ModalLattice(skeleton.elements, skeleton.leq, rng.choice(boxes), rng.choice(dias))
+
+
+def test_backtracking_enumeration_matches_naive_on_larger_lattices():
+    rng = random.Random(608)
+    pentagon = pentagon_modal_lattice()
+    cases = [
+        (grid_modal_lattice(rng, 2, 3), (B, L3, G4)),
+        (grid_modal_lattice(rng, 2, 3, top_first=True), (B, L3, G4)),
+        (grid_modal_lattice(rng, 3, 3), (B, L3, G4)),
+        (grid_modal_lattice(rng, 3, 3, top_first=True), (B, L3, G4)),
+        (random_normal_lattice(rng, pentagon), (B, L3, G4)),
+    ]
+    assert cases[1][0].top_index == 0 and cases[3][0].bottom_index == 8
+    for lat, algebras in cases:
+        for alg in algebras:
+            assert [f.degrees for f in enumerate_filters(lat, alg)] == naive_filters(lat, alg)
+            assert [i.degrees for i in enumerate_ideals(lat, alg)] == naive_ideals(lat, alg)
+
+
 def test_boolean_two_chain_surrogate_frozen():
-    sur = build_surrogate(chain_modal_lattice(2), B)
+    sur = build_surrogate(canonical_parts(chain_modal_lattice(2), B))
     assert len(sur.filters) == 1 and len(sur.ideals) == 1
     assert sur.incidence.rows == ((0,),)
     assert sur.r_box.rows == ((0,),) and sur.r_diamond.rows == ((0,),)
@@ -257,7 +290,7 @@ def test_surrogates_agree_and_are_compatible():
         (moved_chain(), L3),
     ]
     for lat, alg in cases:
-        sur = build_surrogate(lat, alg)
+        sur = build_surrogate(canonical_parts(lat, alg))
         assert sur.diamond_forms_agree and sur.box_forms_agree
         assert sur.compatibility.ok
         assert sur.r_box.source == sur.frame.base.objects
@@ -266,13 +299,13 @@ def test_surrogates_agree_and_are_compatible():
 
 def test_one_chain_has_no_canonical_frame():
     with pytest.raises(InputError, match="proper"):
-        build_surrogate(chain_modal_lattice(1), L3)
+        build_surrogate(canonical_parts(chain_modal_lattice(1), L3))
 
 
 def test_lemma_suite_passes_where_expected():
     for lat in (chain_modal_lattice(2), chain_modal_lattice(3), diamond_modal_lattice()):
         for alg in (B, L3):
-            report = lemma_suite(lat, alg)
+            report = lemma_suite(canonical_parts(lat, alg))
             assert report.ok
             assert len(report.checks) == 10
             assert sum(1 for c in report.checks if c.required) == 8
@@ -281,7 +314,7 @@ def test_lemma_suite_passes_where_expected():
 
 def test_properness_checks_are_informative_only():
     lat = chain_modal_lattice(2, box={"e0": "e1", "e1": "e1"})
-    report = lemma_suite(lat, L3)
+    report = lemma_suite(canonical_parts(lat, L3))
     assert report.ok
     by_name = {c.name: c for c in report.checks}
     broken = by_name["box-inverse preserves properness"]
@@ -291,7 +324,7 @@ def test_properness_checks_are_informative_only():
 
 
 def test_canonical_model_requires_atoms():
-    sur = build_surrogate(chain_modal_lattice(2), L3)
+    sur = build_surrogate(canonical_parts(chain_modal_lattice(2), L3))
     with pytest.raises(InputError, match="atoms"):
         canonical_model(sur)
 
@@ -338,7 +371,7 @@ TRUTH_FORMS = (
     ],
 )
 def test_truth_lemma_fragment(lattice, algebra):
-    sur = build_surrogate(lattice, algebra)
+    sur = build_surrogate(canonical_parts(lattice, algebra))
     model = canonical_model(sur)
     ident = {a: a for a in lattice.atoms}
     for text in TRUTH_FORMS:

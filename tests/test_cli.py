@@ -234,6 +234,50 @@ def test_canonical_one_chain_has_no_frame(capsys, files):
     code, out, _ = run(capsys, "canonical", "--lattice", files["lat1"], "--algebra", "boolean")
     assert code == 0
     assert "canonical frame not built:" in out
+    assert out.endswith("canonical frame not built: the lattice has no proper filters or no proper ideals\n")
+
+
+def test_canonical_budget_error(capsys, files):
+    code, out, err = run(
+        capsys, "canonical", "--lattice", files["lat2"], "--algebra", "lukasiewicz:3", "--budget", "8"
+    )
+    assert code == 2 and out == ""
+    assert json.loads(err) == {
+        "error": "ResourceError",
+        "message": "9 candidate maps over 2 elements exceed the budget of 8",
+    }
+    code, _, _ = run(capsys, "canonical", "--lattice", files["lat2"], "--algebra", "lukasiewicz:3", "--budget", "9")
+    assert code == 0
+
+
+def test_canonical_enumerates_filters_and_ideals_once(capsys, tmp_path, monkeypatch):
+    import mvpolar.canonical as canonical
+
+    calls = {"enumerate_filters": 0, "enumerate_ideals": 0}
+    for name in calls:
+        original = getattr(canonical, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(canonical, name, counted)
+    names = ["e0", "e1", "e2"]
+    lattice = dump(
+        tmp_path,
+        "lat3.json",
+        {
+            "elements": names,
+            "leq": [[i <= j for j in range(3)] for i in range(3)],
+            "box": {e: e for e in names},
+            "dia": {e: e for e in names},
+        },
+    )
+    for out in ("text", "json"):
+        calls.update(enumerate_filters=0, enumerate_ideals=0)
+        code, _, _ = run(capsys, "canonical", "--lattice", lattice, "--algebra", "lukasiewicz:3", "--out", out)
+        assert code == 0
+        assert calls == {"enumerate_filters": 1, "enumerate_ideals": 1}
 
 
 def test_arena_firm_and_refinement(capsys, files):

@@ -1,9 +1,13 @@
 import random
+from collections import Counter
 
 import pytest
+from oracles import naive_singleton_checks, product_of_chains
+from test_algebra import m2_heyting
 
 from mvpolar import (
     CapabilityError,
+    CompatibilityReport,
     Concept,
     Context,
     EnrichedContext,
@@ -14,8 +18,10 @@ from mvpolar import (
     compatible_box_closure,
     compatible_diamond_closure,
     enumerate_concepts,
+    goedel_chain,
     lukasiewicz_chain,
 )
+from mvpolar.canonical import build_surrogate, canonical_parts, chain_modal_lattice, diamond_modal_lattice
 from mvpolar.sampling import random_compatible_frame, random_context, random_relation
 
 L3 = lukasiewicz_chain(3)
@@ -164,3 +170,71 @@ def test_repr_mentions_carried_relations():
     rel = MvRelation(L3, ["a"], ["x"], ((1,),))
     text = repr(EnrichedContext(base, r_box=rel))
     assert "r_box" in text
+
+
+COMPAT_ALGEBRAS = {
+    "B": B,
+    "L3": L3,
+    "L5": lukasiewicz_chain(5),
+    "G4": goedel_chain(4),
+    "L3xB": product_of_chains(L3, B),
+    "M2": m2_heyting(),
+}
+
+
+def naive_report(frame):
+    """The compatibility report built by closing every alpha-image."""
+    base = frame.base
+    return CompatibilityReport(
+        None if frame.r_box is None else naive_singleton_checks(base, frame.r_box, "r_box"),
+        None if frame.r_diamond is None else naive_singleton_checks(base, frame.r_diamond.transpose(), "r_diamond"),
+    )
+
+
+def failure_kind(report, top):
+    failures = report.failures()
+    if not failures:
+        return "pass"
+    # Over a residuated lattice an unstable alpha-image forces an unstable
+    # top image of the same row or column: the shortcut relies on this.
+    failing_at_top = {(c.relation, c.side, c.element) for c in failures if c.alpha == top}
+    assert all((c.relation, c.side, c.element) in failing_at_top for c in failures)
+    return "top only" if len(failing_at_top) == len(failures) else "below top too"
+
+
+def test_singleton_checks_match_closing_every_alpha():
+    seen = Counter()
+    for label, alg in COMPAT_ALGEBRAS.items():
+        rng = random.Random(f"compat-{label}")
+        kinds = Counter()
+        for k in range(80):
+            base = random_context(rng, alg, rng.randint(1, 4), rng.randint(1, 4))
+            r_box = random_relation(rng, alg, base.objects, base.attributes)
+            r_dia = random_relation(rng, alg, base.attributes, base.objects)
+            if k % 3:
+                r_box, r_dia = compatible_box_closure(base, r_box), compatible_diamond_closure(base, r_dia)
+            if k % 3 == 2:
+                # One entry redrawn: usually only a few images become unstable.
+                rows = [list(row) for row in r_box.rows]
+                rows[rng.randrange(len(rows))][rng.randrange(len(rows[0]))] = rng.randrange(alg.size)
+                r_box = MvRelation(alg, base.objects, base.attributes, rows)
+            frame = EnrichedContext(base, r_box=r_box, r_diamond=r_dia)
+            want = naive_report(frame)
+            assert frame.compatibility == want, label
+            assert frame.compatibility.describe() == want.describe(), label
+            kinds[failure_kind(want, alg.top)] += 1
+        assert kinds["pass"] and kinds["pass"] < 80, (label, kinds)
+        seen.update(kinds)
+    assert seen["top only"] and seen["below top too"]
+
+
+def test_surrogate_singleton_checks_match_closing_every_alpha():
+    for lattice in (chain_modal_lattice(3), diamond_modal_lattice()):
+        for alg in (B, L3, goedel_chain(4)):
+            frame = build_surrogate(canonical_parts(lattice, alg)).frame
+            want = naive_report(frame)
+            assert frame.compatibility == want and want.ok
+            zero = MvRelation.constant(alg, frame.base.objects, frame.base.attributes, alg.bottom)
+            broken = EnrichedContext(frame.base, r_box=zero, r_diamond=frame.r_diamond)
+            assert broken.compatibility == naive_report(broken)
+            assert broken.compatibility.describe() == naive_report(broken).describe()
