@@ -375,12 +375,13 @@ def soundness_suite(frame: EnrichedContext, budget: int = DEFAULT_VALUATION_BUDG
             detail = {name: repr(c) for name, c in verdict.countermodel.items()}
         results.append(RuleResult(str(seq), "axiom", verdict.valid, detail))
     size = len(ca.lattice)
+    order = ca.lattice.order
     for op, label in (("box", "box preserves entailment"), ("dia", "dia preserves entailment")):
         table = ca.maps[op]
         bad = None
         for i in range(size):
             for j in range(size):
-                if ca.lattice.order[i][j] and not ca.lattice.order[table[i]][table[j]]:
+                if order[i][j] and not order[table[i]][table[j]]:
                     bad = {"below": repr(ca.lattice[i]), "above": repr(ca.lattice[j])}
                     break
             if bad:

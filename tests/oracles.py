@@ -52,6 +52,54 @@ def brute_force_concepts(ctx):
     return sorted(out, key=lambda c: c.extent.degrees)
 
 
+def meet_closure_concepts(ctx):
+    """(extent, intent) pairs, sorted by extent, from the all-pairs meet closure.
+
+    The basic extents alpha -> column and the top extent's closure are
+    closed under pairwise pointwise meets until nothing new appears.
+    """
+    alg = ctx.algebra
+    res = alg.residuum_table
+    meet = alg.meet_table
+    found = {tuple(res[alpha][v] for v in column) for alpha in range(alg.size) for column in ctx.incidence.columns}
+    found.add(ctx._down_degrees(ctx._up_degrees((alg.top,) * len(ctx.objects))))
+    queue = sorted(found)
+    while queue:
+        t = queue.pop()
+        for s in list(found):
+            m = tuple(meet[a][b] for a, b in zip(t, s))
+            if m not in found:
+                found.add(m)
+                queue.append(m)
+    return [(ext, ctx._up_degrees(ext)) for ext in sorted(found)]
+
+
+def pairwise_order(algebra, extents):
+    """order[i][j]: extents[i] <= extents[j] at every object, one pair at a time."""
+    return tuple(
+        tuple(all(algebra.leq(a, b) for a, b in zip(e, f)) for f in extents) for e in extents
+    )
+
+
+def scan_covers(order):
+    """Covering pairs (i, j) by scanning every k for something strictly between."""
+    n = len(order)
+    return tuple(
+        (i, j)
+        for i in range(n)
+        for j in range(n)
+        if i != j
+        and order[i][j]
+        and not any(k != i and k != j and order[i][k] and order[k][j] for k in range(n))
+    )
+
+
+def algebra_upper_covers(algebra, v):
+    """The values w > v with no value strictly between, from leq alone."""
+    above = [w for w in range(algebra.size) if w != v and algebra.leq(v, w)]
+    return [w for w in above if not any(u != w and algebra.leq(u, w) for u in above)]
+
+
 def slow_subsethood(algebra, f_degrees, g_degrees):
     out = algebra.top
     for a, b in zip(f_degrees, g_degrees):

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -133,6 +134,37 @@ def test_lattice_outputs(capsys, files):
 def test_lattice_budget_error(capsys, files):
     code, _, err = run(capsys, "lattice", "--context", files["ctx"], "--budget", "2")
     assert code == 2 and json.loads(err)["error"] == "ResourceError"
+
+
+def test_lattice_budget_boundary_keeps_the_error_json(capsys, files):
+    code, out, err = run(capsys, "lattice", "--context", files["ctx"], "--budget", "3")
+    assert code == 2 and out == ""
+    assert json.loads(err) == {
+        "error": "ResourceError",
+        "message": "concept enumeration exceeded the budget of 3 concepts",
+    }
+    code, out, _ = run(capsys, "lattice", "--context", files["ctx"], "--budget", "4")
+    assert code == 0 and out.endswith("4 concepts\n")
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("name", ["l3", "l3xb"])
+@pytest.mark.parametrize("mode", ["text", "json", "dot"])
+def test_lattice_output_bytes_are_pinned(capsys, monkeypatch, name, mode):
+    """Concept order and cover order, byte for byte, over L3 and over the
+    L3 x B product (whose index order is not its lattice order); no mode
+    builds the order table."""
+    from mvpolar.context import ConceptLattice
+
+    built = []
+    original = ConceptLattice.order
+    monkeypatch.setattr(ConceptLattice, "order", property(lambda lat: built.append(1) or original.fget(lat)))
+    code, out, err = run(capsys, "lattice", "--context", str(GOLDEN / f"{name}_context.json"), "--out", mode)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / f"{name}_lattice.{mode}").read_text()
+    assert built == []
 
 
 def test_check_true_and_false(capsys, files):

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from mvpolar import (
+    ConceptLattice,
     Context,
     MvSet,
     ResourceError,
@@ -14,7 +15,15 @@ from mvpolar import (
     subsethood,
 )
 from mvpolar.sampling import random_context
-from oracles import all_degree_tuples, brute_force_concepts, product_of_chains
+from oracles import (
+    algebra_upper_covers,
+    all_degree_tuples,
+    brute_force_concepts,
+    meet_closure_concepts,
+    pairwise_order,
+    product_of_chains,
+    scan_covers,
+)
 
 L3 = lukasiewicz_chain(3)
 B = boolean_algebra()
@@ -148,6 +157,87 @@ def test_budget_exhaustion():
     ctx = diag_context()
     with pytest.raises(ResourceError):
         enumerate_concepts(ctx, budget=2)
+
+
+# The index order of the product is not its lattice order: (0, top) and
+# (1, 0) get indices 1 and 2 and are incomparable.
+WALK_ALGEBRAS = (B, L3, goedel_chain(4), lukasiewicz_chain(5), product_of_chains(L3, B))
+
+
+def edge_contexts(alg):
+    """One object, one attribute, all-top and all-bottom incidence."""
+    rng = random.Random(alg.size)
+    yield random_context(rng, alg, 1, 3)
+    yield random_context(rng, alg, 3, 1)
+    yield random_context(rng, alg, 1, 1)
+    for value in (alg.top, alg.bottom):
+        yield Context.from_rows(alg, ["a1", "a2", "a3"], ["x1", "x2"], [[value] * 2] * 3)
+
+
+def walk_contexts():
+    rng = random.Random(41)
+    for alg in WALK_ALGEBRAS:
+        yield from ((alg, ctx) for ctx in edge_contexts(alg))
+        for _ in range(12):
+            yield alg, random_context(rng, alg, rng.randint(1, 4), rng.randint(1, 4))
+
+
+def test_walk_matches_the_meet_closure_covers_scan_and_pairwise_order():
+    for alg, ctx in walk_contexts():
+        lattice = enumerate_concepts(ctx)
+        got = [(c.extent.degrees, c.intent.degrees) for c in lattice]
+        assert got == meet_closure_concepts(ctx)
+        if alg.size ** len(ctx.objects) <= 1024:
+            assert got == [(c.extent.degrees, c.intent.degrees) for c in brute_force_concepts(ctx)]
+        order = pairwise_order(alg, [ext for ext, _ in got])
+        assert lattice.order == order
+        assert lattice.covers() == scan_covers(order)
+
+
+def count_down_closures(monkeypatch):
+    calls = []
+    down = Context._down_degrees
+    monkeypatch.setattr(Context, "_down_degrees", lambda ctx, intent: calls.append(intent) or down(ctx, intent))
+    return calls
+
+
+def test_walk_closes_one_seed_per_object_and_algebra_cover(monkeypatch):
+    calls = count_down_closures(monkeypatch)
+    for alg, ctx in walk_contexts():
+        calls.clear()
+        lattice = enumerate_concepts(ctx)
+        steps = sum(len(algebra_upper_covers(alg, v)) for c in lattice for v in c.extent.degrees)
+        assert len(calls) <= 1 + steps
+
+
+def test_order_table_is_built_only_when_read(monkeypatch):
+    built = []
+    original = ConceptLattice.order
+    monkeypatch.setattr(ConceptLattice, "order", property(lambda lat: built.append(1) or original.fget(lat)))
+    lattice = enumerate_concepts(random_context(random.Random(3), L3, 4, 4))
+    lattice.covers(), lattice.to_dot()
+    assert built == []
+    assert lattice.leq(lattice.bottom_index, lattice.top_index) and built
+
+
+def test_budget_boundary_is_the_concept_count():
+    ctx = random_context(random.Random(9), lukasiewicz_chain(5), 3, 3)
+    count = len(enumerate_concepts(ctx))
+    assert len(enumerate_concepts(ctx, budget=count)) == count
+    with pytest.raises(ResourceError) as err:
+        enumerate_concepts(ctx, budget=count - 1)
+    assert str(err.value) == f"concept enumeration exceeded the budget of {count - 1} concepts"
+
+
+def test_budget_stops_the_walk_early(monkeypatch):
+    ctx = random_context(random.Random(1), lukasiewicz_chain(5), 8, 8)
+    budget = 10
+    calls = count_down_closures(monkeypatch)
+    with pytest.raises(ResourceError):
+        enumerate_concepts(ctx, budget=budget)
+    # At most budget + 1 concepts are found, and each found concept closes
+    # at most one seed per object (a chain has one upper cover per value).
+    assert len(calls) <= 1 + (budget + 1) * len(ctx.objects)
 
 
 def test_dot_export():
